@@ -36,9 +36,8 @@ the replicated device pool and the offered load.  Expected shape:
   popularity.
 
 Besides the human-readable table, the sweep persists
-``benchmarks/results/serving_sweep.json`` for the perf-trajectory
-tooling (CI runs with every flag so the artifact carries the full
-sweep).
+``benchmarks/results/serving_sweep.json`` (CI runs with every flag and
+uploads it, so the artifact carries the full sweep).
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ from repro.serving import (
     build_router,
 )
 from repro.serving.sharding import PARTITIONED
-from repro.sim.pool import run_rows
 
 POLICIES = ("batch", "greedy")
 SHARDS = (1, 4)
@@ -126,9 +124,8 @@ OBS_WINDOW_S = 1e-3
 #: partitioned cell is fed to a ServingTwin once per process, and all
 #: routing what-ifs fork from its checkpoints instead of re-simulating
 #: the shared warm prefix.  Rows carry only deterministic fields (no
-#: wall clocks), keeping the pooled sweep payload byte-identical to
-#: the serial one; the wall-clock speedup gate lives in
-#: ``profile_serving.py`` (the ``twin-whatif`` trajectory entry).
+#: wall clocks); how much of the run a what-if replays is pinned in
+#: ``tests/test_serving_twin.py``.
 TWIN_WINDOW_S = 20e-3
 
 CORPUS, DIM, POOL, REQUESTS, K = 800, 16, 128, 400, 10
@@ -170,12 +167,12 @@ def _run_cell(
     return frontend.run(stream.generate(), pool)
 
 
-# ---- per-process warm state (shared by serial and pooled rows) ---------
+# ---- per-process warm state shared by the rows -------------------------
 # Every sweep row is a pure function of its spec: the corpus, query
 # pool and routers are deterministic builds from pinned seeds, and the
 # router build cache (repro.serving.sharding) makes repeated builds of
-# the same spec nearly free — so a warm worker that owns a config
-# family reuses its indexes across all the rows keyed to it.
+# the same spec nearly free, so rows on one config family share its
+# indexes.
 
 
 @lru_cache(maxsize=1)
@@ -538,8 +535,7 @@ def _flash_row(enabled: bool) -> dict:
 def _twin_base():
     """The shared warm prefix: the broadcast partitioned cell fed to a
     twin window by window.  Built once per process; every what-if row
-    forks from its checkpoints (warm-worker affinity keys the twin
-    rows to the ``partitioned`` family, so pooled runs share it too).
+    forks from its checkpoints.
     """
     _, pool = _dataset()
     twin = ServingTwin(
@@ -591,7 +587,6 @@ def _twin_row(nprobe) -> dict:
         "p99_ms": answer.latency_p99_s * 1e3,
         "searched": answer.completed,
         "probes_per_query": answer.mean_probes_per_query,
-        "cache_entries": len(twin.cache),
         "checkpoints": len(twin.checkpoints),
     }
     if nprobe == "keep":
@@ -635,79 +630,49 @@ _SECTION_ROWS = {
 }
 
 
-def bench_row(section: str, spec: dict) -> dict:
-    """Pool task: run one sweep row (a pure function of its spec)."""
-    return _SECTION_ROWS[section](**spec)
-
-
 def _row_specs(
     slo: bool, autoscale: bool, rebalance: bool, flash: bool
-) -> list[tuple[str, str, dict]]:
-    """The sweep matrix as ``(affinity_key, section, spec)`` rows, in
-    the order the sections assemble.
-
-    The affinity key names the router family a row needs, so a warm
-    worker that owns e.g. the partitioned indexes serves every row
-    built on them.
-    """
-    rows: list[tuple[str, str, dict]] = []
+) -> list[tuple[str, dict]]:
+    """The sweep matrix as ``(section, spec)`` rows, in the order the
+    sections assemble."""
+    rows: list[tuple[str, dict]] = []
     for policy_mode in POLICIES:
         for shards in SHARDS:
             for rate in RATES:
                 rows.append((
-                    f"replicated-x{shards}", "sweep",
+                    "sweep",
                     {"policy": policy_mode, "shards": shards, "rate": rate},
                 ))
     for platform in ("cpu", "ndsearch"):
-        key = "cpu-spill" if platform == "cpu" else "replicated-x1"
         for rate in PIPELINE_RATES:
-            rows.append(
-                (key, "pipeline", {"platform": platform, "rate": rate})
-            )
+            rows.append(("pipeline", {"platform": platform, "rate": rate}))
     for nprobe in (None, 1, 2, PARTITION_SHARDS):
-        rows.append(("partitioned", "partitioned", {"nprobe": nprobe}))
+        rows.append(("partitioned", {"nprobe": nprobe}))
     for coalesce in (False, True):
-        rows.append(("replicated-x1", "coalescing", {"coalesce": coalesce}))
-    rows.append(("replicated-x1", "observability", {}))
+        rows.append(("coalescing", {"coalesce": coalesce}))
+    rows.append(("observability", {}))
     for nprobe in ("keep", 1, 2):
-        rows.append(("partitioned", "twin", {"nprobe": nprobe}))
+        rows.append(("twin", {"nprobe": nprobe}))
     if slo:
         for deadline_ms in SLO_DEADLINES_MS:
-            rows.append(
-                ("replicated-x1", "slo", {"deadline_ms": deadline_ms})
-            )
+            rows.append(("slo", {"deadline_ms": deadline_ms}))
     if autoscale:
         for scaled in (False, True):
-            rows.append(("replicated-x1", "autoscale", {"scaled": scaled}))
+            rows.append(("autoscale", {"scaled": scaled}))
     if rebalance:
         for moved in (False, True):
-            rows.append(("partitioned", "rebalance", {"moved": moved}))
+            rows.append(("rebalance", {"moved": moved}))
     if flash:
         for enabled in (False, True):
-            rows.append(("partitioned", "flash", {"enabled": enabled}))
+            rows.append(("flash", {"enabled": enabled}))
     return rows
 
 
 def collect(
     slo: bool = False, autoscale: bool = False, rebalance: bool = False,
-    flash: bool = False, workers: int = 0,
+    flash: bool = False,
 ) -> dict:
-    """Run the sweep matrix; pooled over ``workers`` warm subprocesses
-    when positive, serially in-process otherwise.
-
-    Either way the rows are the same pure functions of the same specs
-    and the results merge in row order, so the pooled payload is
-    byte-identical to the serial one.
-    """
-    specs = _row_specs(slo, autoscale, rebalance, flash)
-    outputs = run_rows(
-        [
-            (key, "bench_serving:bench_row", {"section": section, "spec": spec})
-            for key, section, spec in specs
-        ],
-        workers,
-        path=[Path(__file__).resolve().parent],
-    )
+    """Run the sweep matrix in-process, row by row."""
     results: dict = {
         "sweep": [],
         "pipeline": [],
@@ -716,7 +681,8 @@ def collect(
         "observability": None,
         "twin": [],
     }
-    for (_, section, _spec), output in zip(specs, outputs):
+    for section, spec in _row_specs(slo, autoscale, rebalance, flash):
+        output = _SECTION_ROWS[section](**spec)
         if section == "observability":
             results["observability"] = output
         else:
@@ -950,11 +916,9 @@ def test_bench_serving(benchmark, record_table, record_json, request):
     autoscale = request.config.getoption("--autoscale")
     rebalance = request.config.getoption("--rebalance")
     flash = request.config.getoption("--flash")
-    workers = request.config.getoption("--workers")
     results = benchmark.pedantic(
         lambda: collect(
-            slo=slo, autoscale=autoscale, rebalance=rebalance,
-            flash=flash, workers=workers,
+            slo=slo, autoscale=autoscale, rebalance=rebalance, flash=flash,
         ),
         rounds=1, iterations=1,
     )

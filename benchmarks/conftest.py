@@ -51,15 +51,6 @@ def pytest_addoption(parser):
         help="include the ideal-vs-stateful-flash sweep in "
              "bench_serving",
     )
-    from repro.sim.pool import workers_from_env
-
-    parser.addoption(
-        "--workers", type=int, default=workers_from_env(),
-        help="fan bench_serving's sweep rows over this many warm "
-             "worker subprocesses (default $REPRO_POOL_WORKERS, "
-             "0 = serial in-process); pooled output is byte-identical "
-             "to serial",
-    )
 
 
 @pytest.fixture(scope="session")
@@ -84,7 +75,7 @@ def record_json(results_dir):
     """Persist machine-readable results under results/<name>.json.
 
     The human-readable ``.txt`` tables are for eyeballs; these JSON
-    files are what the perf-trajectory tooling diffs across commits.
+    files are the ones to diff across commits.
     """
 
     def _record(name: str, payload) -> None:

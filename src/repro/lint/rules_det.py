@@ -15,12 +15,6 @@ from .context import FileContext
 from .findings import Finding
 from .registry import Rule, register
 
-# Modules that legitimately read the wall clock: the profiler measures
-# host speed by design, and the worker pool times subprocess RPC.
-WALL_CLOCK_ALLOWED_MODULES = frozenset(
-    {"repro.obs.profile", "repro.sim.pool"}
-)
-
 # Qualified callables whose results depend on wall clock or OS entropy.
 WALL_CLOCK_CALLS = frozenset(
     {
@@ -167,8 +161,9 @@ class WallClock(Rule):
     """Wall-clock / OS-entropy reads inside simulation code.
 
     The simulated clock is ``EventLoop.now``; host time leaking into
-    simulation state makes two identical runs diverge.  Only modules in
-    :data:`WALL_CLOCK_ALLOWED_MODULES` measure real time on purpose.
+    simulation state makes two identical runs diverge.  No ``repro``
+    module is exempt: host-speed measurement lives in ``perfbench/``,
+    outside the package.
     """
 
     ID = "DET002"
@@ -176,8 +171,6 @@ class WallClock(Rule):
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if ctx.module is None or not ctx.module.startswith("repro"):
-            return
-        if ctx.module in WALL_CLOCK_ALLOWED_MODULES:
             return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
@@ -190,8 +183,8 @@ class WallClock(Rule):
                     f"{qual}() reads the wall clock / OS entropy inside "
                     "simulation code; use the simulated clock "
                     "(EventLoop.now / event.time) or a seeded source. "
-                    "Host-time measurement belongs in repro.obs.profile "
-                    "or repro.sim.pool.",
+                    "Host-time measurement belongs in perfbench/, "
+                    "outside src/.",
                 )
 
 

@@ -129,7 +129,7 @@ class ServingReport:
         Round-trippable: ``ServingReport.from_dict(json.loads(
         json.dumps(report.to_dict())))`` reconstructs an equal report.
         This is the one serialization path shared by the sweep JSON,
-        the CLI's ``--report-json`` and the perf-trajectory tooling —
+        the CLI's ``--report-json`` and the twin's what-if cache —
         ad-hoc dict assembly drifts, this does not.
 
         Derived conveniences (``served``, ``qps_per_watt``) are

@@ -17,7 +17,7 @@ that style of simulation:
 * :mod:`repro.sim.area` — area model and storage-density accounting.
 """
 
-from repro.sim.engine import Resource, ResourcePool, Timeline
+from repro.sim.engine import Resource, Timeline
 from repro.sim.events import (
     AFTER_ARRIVALS,
     Arrival,
@@ -35,7 +35,6 @@ from repro.sim.area import AreaModel, ComponentArea
 
 __all__ = [
     "Resource",
-    "ResourcePool",
     "Timeline",
     "AFTER_ARRIVALS",
     "Arrival",

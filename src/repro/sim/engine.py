@@ -63,46 +63,6 @@ class Resource:
 
 
 @dataclass
-class ResourcePool:
-    """A bank of identical parallel resources with least-loaded dispatch.
-
-    Models, e.g., the set of LUN-level accelerators: a request is served
-    by whichever unit frees up first.
-    """
-
-    name: str
-    size: int
-    units: list[Resource] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.size <= 0:
-            raise ValueError(f"pool {self.name!r} needs size >= 1, got {self.size}")
-        if not self.units:
-            self.units = [Resource(f"{self.name}[{i}]") for i in range(self.size)]
-
-    def acquire(self, at: float, duration: float) -> tuple[float, float]:
-        """Book work on the unit that can start it the earliest."""
-        unit = min(self.units, key=lambda u: u.peek(at))
-        return unit.acquire(at, duration)
-
-    def acquire_on(self, index: int, at: float, duration: float) -> tuple[float, float]:
-        """Book work on a specific unit (static assignment)."""
-        return self.units[index].acquire(at, duration)
-
-    @property
-    def busy_time(self) -> float:
-        return sum(u.busy_time for u in self.units)
-
-    @property
-    def next_free(self) -> float:
-        return max(u.next_free for u in self.units)
-
-    def reset(self) -> None:
-        for u in self.units:
-            u.reset()
-
-
-@dataclass
 class Timeline:
     """A named collection of resources tracking a simulation clock.
 
@@ -112,7 +72,7 @@ class Timeline:
     """
 
     now: float = 0.0
-    resources: dict[str, Resource | ResourcePool] = field(default_factory=dict)
+    resources: dict[str, Resource] = field(default_factory=dict)
 
     def resource(self, name: str) -> Resource:
         """Get (or lazily create) a serial resource."""
@@ -120,22 +80,6 @@ class Timeline:
         if res is None:
             res = Resource(name)
             self.resources[name] = res
-        if not isinstance(res, Resource):
-            raise TypeError(f"{name!r} is a pool, not a serial resource")
-        return res
-
-    def pool(self, name: str, size: int) -> ResourcePool:
-        """Get (or lazily create) a pool of ``size`` parallel resources."""
-        res = self.resources.get(name)
-        if res is None:
-            res = ResourcePool(name, size)
-            self.resources[name] = res
-        if not isinstance(res, ResourcePool):
-            raise TypeError(f"{name!r} is a serial resource, not a pool")
-        if res.size != size:
-            raise ValueError(
-                f"pool {name!r} already created with size {res.size}, requested {size}"
-            )
         return res
 
     def advance(self, to: float) -> None:
@@ -144,7 +88,7 @@ class Timeline:
             self.now = to
 
     def busy_times(self) -> dict[str, float]:
-        """Busy seconds per resource name (pools aggregated)."""
+        """Busy seconds per resource name."""
         return {name: res.busy_time for name, res in self.resources.items()}
 
     def reset(self) -> None:

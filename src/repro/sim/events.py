@@ -39,7 +39,7 @@ strictly after its arrival instant, so its deadline timers are
 scheduled with a rank that sorts behind same-time arrivals.
 
 The kernel and the resource timelines compose: handlers book work on
-``Resource``/``ResourcePool``/:class:`~repro.serving.device.ShardDevice`
+``Resource``/:class:`~repro.serving.device.ShardDevice`
 timelines and schedule a :class:`Completion` at the booked end time —
 occupancy stays in the resource layer, control flow in the event layer.
 """

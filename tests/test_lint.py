@@ -137,11 +137,6 @@ class TestDet002:
             "import os\nb = os.urandom(8)\n", module="repro.flash.ftl"
         )
 
-    def test_profiler_and_pool_allowlisted(self):
-        src = "import time\nt0 = time.perf_counter()\n"
-        assert rules_of(src, module="repro.obs.profile") == []
-        assert rules_of(src, module="repro.sim.pool") == []
-
     def test_out_of_package_code_not_in_scope(self):
         # Tests/benchmarks measure wall-clock freely; the rule guards
         # simulation code only.

@@ -501,6 +501,51 @@ class TestServingTwin:
         )
 
 
+#: A null what-if may replay at most this fraction of the run's kernel
+#: events; anything more means restore degraded toward a full replay.
+MAX_REPLAY_FRACTION = 1 / 5
+
+
+class TestIncrementalReplay:
+    def test_null_whatif_replays_only_the_final_window(
+        self, corpus_and_pool, monkeypatch
+    ):
+        # Partitioned x4 at nprobe=1, 800 requests at 20k/s, a
+        # checkpoint every 2 ms: a null what-if restores the last
+        # checkpoint and re-simulates only the events after it.
+        vectors, pool = corpus_and_pool
+        config = ServingConfig(policy=_policy(), nprobe=1, **_BATCH_CFG)
+
+        def factory():
+            return build_router(
+                vectors, num_shards=4, config=NDSearchConfig.scaled(),
+                mode=PARTITIONED, seed=35,
+            )
+
+        twin = ServingTwin(factory, config, pool, window_s=2e-3, calibrate_k=K)
+        requests = QueryStream(
+            PoissonArrivals(20000.0), pool_size=POOL, n_requests=800, k=K,
+            seed=STREAM_SEED,
+        ).generate()
+        twin.feed(requests)
+        twin.advance(requests[-1].arrival_s)
+        twin.finish()
+        # Events already processed in whatever state the fork restores;
+        # a from-scratch fork restores nothing and replays everything.
+        restored = [0]
+        restore = ServingFrontend.restore
+
+        def spy(frontend, snapshot, pool):
+            restored[0] = snapshot.state["loop"]["processed"]
+            return restore(frontend, snapshot, pool)
+
+        monkeypatch.setattr(ServingFrontend, "restore", spy)
+        answer = twin.whatif()
+        total = int(answer.counters["loop_events_total"])
+        replayed = total - restored[0]
+        assert 0 < replayed <= MAX_REPLAY_FRACTION * total, (replayed, total)
+
+
 # ---- ServingReport.twin round-trip (satellite: report surface) -----------
 
 class TestReportTwinRoundTrip:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import Resource, ResourcePool, Timeline
+from repro.sim.engine import Resource, Timeline
 
 
 class TestResource:
@@ -59,58 +59,11 @@ class TestResource:
         assert r.next_free == 0.0
 
 
-class TestResourcePool:
-    def test_dispatches_to_idle_unit(self):
-        pool = ResourcePool("lun", size=2)
-        s1, _ = pool.acquire(0.0, 10.0)
-        s2, _ = pool.acquire(0.0, 10.0)
-        assert s1 == 0.0
-        assert s2 == 0.0  # second unit was free
-
-    def test_queues_when_all_units_busy(self):
-        pool = ResourcePool("lun", size=2)
-        pool.acquire(0.0, 10.0)
-        pool.acquire(0.0, 4.0)
-        start, _ = pool.acquire(0.0, 1.0)
-        assert start == 4.0  # earliest-free unit wins
-
-    def test_acquire_on_specific_unit(self):
-        pool = ResourcePool("lun", size=3)
-        pool.acquire_on(2, 0.0, 5.0)
-        start, _ = pool.acquire_on(2, 0.0, 1.0)
-        assert start == 5.0
-
-    def test_invalid_size_rejected(self):
-        with pytest.raises(ValueError):
-            ResourcePool("lun", size=0)
-
-    def test_busy_time_aggregates_units(self):
-        pool = ResourcePool("lun", size=2)
-        pool.acquire(0.0, 3.0)
-        pool.acquire(0.0, 4.0)
-        assert pool.busy_time == 7.0
-
-
 class TestTimeline:
     def test_lazy_resource_creation(self):
         tl = Timeline()
         r = tl.resource("channel0")
         assert tl.resource("channel0") is r
-
-    def test_pool_size_conflict_raises(self):
-        tl = Timeline()
-        tl.pool("luns", 4)
-        with pytest.raises(ValueError):
-            tl.pool("luns", 8)
-
-    def test_kind_conflict_raises(self):
-        tl = Timeline()
-        tl.resource("x")
-        with pytest.raises(TypeError):
-            tl.pool("x", 2)
-        tl.pool("y", 2)
-        with pytest.raises(TypeError):
-            tl.resource("y")
 
     def test_advance_is_monotonic(self):
         tl = Timeline()
@@ -121,7 +74,7 @@ class TestTimeline:
     def test_busy_times_snapshot(self):
         tl = Timeline()
         tl.resource("a").acquire(0.0, 1.0)
-        tl.pool("b", 2).acquire(0.0, 2.0)
+        tl.resource("b").acquire(0.0, 2.0)
         assert tl.busy_times() == {"a": 1.0, "b": 2.0}
 
     def test_reset_clears_everything(self):
