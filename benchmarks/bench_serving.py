@@ -3,7 +3,8 @@ pipelined-vs-blocking device comparison.
 
 The online analogue of Figs. 13/19: the same frontend, stream seed and
 corpus across every cell, varying only the batching policy, the size of
-the replicated device pool and the offered load.  Expected shape:
+the replicated device pool and the offered load.  Every cell is a
+variant of a named :mod:`repro.serving.scenarios` spec.  Expected shape:
 
 * batching beats greedy dispatch at high load (larger batches fill the
   LUN-level parallelism — the Fig. 19 effect, now under queueing);
@@ -17,58 +18,47 @@ the replicated device pool and the offered load.  Expected shape:
   pool) cuts per-query device work proportionally to nprobe while
   recall falls gracefully toward — and matches exactly at
   nprobe = num_shards — the broadcast result;
-* with ``--slo``: deadline-driven batch closing (the ``slo`` policy's
-  drain-time prediction) misses fewer deadlines than a fixed max-wait
-  at every deadline, miss rate falls monotonically as the deadline
-  loosens, and high-priority attainment stays >= 95%;
-* with ``--autoscale``: offered load above a static replica's capacity
-  — the autoscaled pool grows, sheds less and holds a lower p99 than
-  the static pool;
-* with ``--rebalance``: skewed Zipfian load on a partitioned pool
-  saturates the devices owning the popular clusters — migrating hot
-  IVF clusters to cold devices (data movement booked on both device
-  timelines) holds a lower p99 and a higher goodput than the static
-  placement;
-* with ``--flash``: the same skewed cell served through a live FTL
-  under every device — read disturb accumulates on the Zipfian-hot
-  clusters' blocks, refresh GC pauses inflate p99, relocation writes
-  amplify beyond the host's, and per-cluster erase counts skew with
-  popularity.
+* deadline-driven batch closing (the ``slo`` policy's drain-time
+  prediction) misses fewer deadlines than a fixed max-wait at every
+  deadline, miss rate falls monotonically as the deadline loosens, and
+  high-priority attainment stays >= 95%;
+* under offered load above a static replica's capacity, the
+  autoscaled pool grows, sheds less and holds a lower p99 than the
+  static pool;
+* skewed Zipfian load on a partitioned pool saturates the devices
+  owning the popular clusters — migrating hot IVF clusters to cold
+  devices (data movement booked on both device timelines) holds a
+  lower p99 and a higher goodput than the static placement;
+* the same skewed cell served through a live FTL under every device —
+  read disturb accumulates on the Zipfian-hot clusters' blocks,
+  refresh GC pauses inflate p99, relocation writes amplify beyond the
+  host's, and per-cluster erase counts skew with popularity.
 
 Besides the human-readable table, the sweep persists
-``benchmarks/results/serving_sweep.json`` (CI runs with every flag and
-uploads it, so the artifact carries the full sweep).
+``benchmarks/results/serving_sweep.json`` and the observability
+rerun's Chrome trace ``serving_trace.json``.  Both are deterministic;
+CI regenerates them and fails if they differ from the committed files.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
 from repro.analysis.reporting import format_table
 from repro.ann import BruteForceIndex, recall_at_k
-from repro.core.config import NDSearchConfig
-from repro.data.synthetic import clustered_gaussian, split_queries
 from repro.obs import SpanTracer
-import json
-
 from repro.serving import (
-    AutoscalePolicy,
-    BatchPolicy,
     FlashConfig,
     MMPPArrivals,
     PoissonArrivals,
-    QueryStream,
     RebalancePolicy,
-    ServingConfig,
-    ServingFrontend,
     ServingTwin,
-    build_router,
+    scenarios,
 )
-from repro.serving.sharding import PARTITIONED
 
 POLICIES = ("batch", "greedy")
 SHARDS = (1, 4)
@@ -77,45 +67,23 @@ RATES = (500.0, 20000.0)
 #: Bursty-arrival rates for the pipelined-vs-blocking comparison.
 PIPELINE_RATES = (10000.0, 40000.0)
 
-#: Shard count and offered rate for the broadcast-vs-selective rows.
-PARTITION_SHARDS = 4
-PARTITION_RATE = 2000.0
-
-#: High-priority deadlines for the SLO sweep (--slo); the best-effort
-#: class gets 4x the budget.  Monotone loosening: the deadline-miss
-#: rate must be non-increasing left to right.
+#: High-priority deadlines for the SLO sweep; the best-effort class
+#: gets 4x the budget.  Monotone loosening: the deadline-miss rate must
+#: be non-increasing left to right.
 SLO_DEADLINES_MS = (2.0, 4.0, 8.0, 16.0)
-SLO_RATE = 4000.0
-SLO_HIGH_FRAC = 0.25
-SLO_MARGIN_S = 3e-4
 
-#: Offered load / pool bounds for the static-vs-autoscaled comparison
-#: (--autoscale): far above one replica's capacity with small batches,
-#: so the static pool's in-service backlog fills the admission bound.
-AUTOSCALE_RATE = 25000.0
-AUTOSCALE_MAX_REPLICAS = 4
-AUTOSCALE_CAPACITY = 48
-
-#: Skewed partitioned workload for the static-vs-rebalanced comparison
-#: (--rebalance): Zipfian popularity + nprobe=1 routing concentrates
-#: load on the devices owning the hot clusters.
-REBALANCE_RATE = 16000.0
-REBALANCE_ZIPF = 1.2
-REBALANCE_SHARDS = 4
-REBALANCE_CLUSTERS_PER_SHARD = 2
-REBALANCE_SLO_S = 4e-3
+#: Migration policy for the static-vs-rebalanced comparison.
 REBALANCE_POLICY = RebalancePolicy(
     interval_s=2e-3, skew_threshold=0.25, migration_gbps=1.0
 )
 
-#: Stateful-flash comparison (--flash): the rebalance sweep's skewed
-#: workload, served with and without a live FTL under every device.
-#: The disturb threshold is scaled down so refreshes fire at benchmark
-#: read volumes the way the real threshold fires at production ones;
-#: the 5% hard-decode failure rate is the paper's mid-late-lifetime
-#: regime (Fig. 18b sweeps up to 30%).
-FLASH_THRESHOLD = 200
-FLASH_ECC_PROB = 0.05
+#: Stateful-flash comparison: the rebalance comparison's skewed cell,
+#: served with and without a live FTL under every device.  The disturb
+#: threshold is scaled down so refreshes fire at benchmark read volumes
+#: the way the real threshold fires at production ones; the 5%
+#: hard-decode failure rate is the paper's mid-late-lifetime regime
+#: (Fig. 18b sweeps up to 30%).
+FLASH = FlashConfig(read_disturb_threshold=200, ecc_hard_failure_prob=0.05)
 
 #: Event-time window for the observability rerun's metrics time series.
 OBS_WINDOW_S = 1e-3
@@ -128,120 +96,38 @@ OBS_WINDOW_S = 1e-3
 #: ``tests/test_serving_twin.py``.
 TWIN_WINDOW_S = 20e-3
 
-CORPUS, DIM, POOL, REQUESTS, K = 800, 16, 128, 400, 10
-
-
-def _run_cell(
-    router, pool, *, arrivals, policy, pipelined, coalesce, zipf=0.0,
-    nprobe=None, priorities=(0,), weights=None, slo=None, admission=None,
-    autoscale=None, rebalance=None, flash=None, metrics_window_s=None,
-    tracer=None,
-):
-    stream = QueryStream(
-        arrivals,
-        pool_size=POOL,
-        n_requests=REQUESTS,
-        k=K,
-        zipf_exponent=zipf,
-        seed=33,
-        priorities=priorities,
-        priority_weights=weights,
-        slo_s=slo,
-    )
-    frontend = ServingFrontend(
-        router,
-        ServingConfig(
-            policy=policy,
-            cache_capacity=0,  # no cache noise in the sweeps
-            pipelined=pipelined,
-            coalesce=coalesce,
-            nprobe=nprobe,
-            admission_capacity=admission,
-            autoscale=autoscale,
-            rebalance=rebalance,
-            flash=flash,
-            metrics_window_s=metrics_window_s,
-        ),
-        tracer=tracer,
-    )
-    return frontend.run(stream.generate(), pool)
-
-
-# ---- per-process warm state shared by the rows -------------------------
-# Every sweep row is a pure function of its spec: the corpus, query
-# pool and routers are deterministic builds from pinned seeds, and the
-# router build cache (repro.serving.sharding) makes repeated builds of
-# the same spec nearly free, so rows on one config family share its
-# indexes.
-
-
-@lru_cache(maxsize=1)
-def _dataset():
-    vectors = clustered_gaussian(CORPUS, DIM, seed=31)
-    pool = split_queries(vectors, POOL, seed=32)
-    return vectors, pool
-
-
-def _replicated_router(shards: int):
-    vectors, _ = _dataset()
-    return build_router(
-        vectors, num_shards=shards, config=NDSearchConfig.scaled()
-    )
-
-
-def _partitioned_router(clusters_per_shard: int | None = None):
-    vectors, _ = _dataset()
-    kwargs = {}
-    if clusters_per_shard is not None:
-        kwargs["clusters_per_shard"] = clusters_per_shard
-    return build_router(
-        vectors,
-        num_shards=PARTITION_SHARDS,
-        config=NDSearchConfig.scaled(),
-        mode=PARTITIONED,
-        seed=35,
-        **kwargs,
-    )
-
-
-def _cpu_spill_router():
-    # The CPU host with a spilling DRAM (the billion-scale analogue:
-    # the corpus does not fit, every access reads the SSD) has the
-    # fattest front stage, so it shows the pipeline overlap most
-    # clearly.
-    vectors, _ = _dataset()
-    config = NDSearchConfig.scaled()
-    spill_config = replace(
-        config, host=replace(config.host, dram_capacity_bytes=16 * 1024)
-    )
-    return build_router(
-        vectors, num_shards=2, config=spill_config, platform="cpu"
-    )
+# The named cells each section varies (repro.serving.scenarios).
+HI = scenarios.get("batch-x1-hi")
+BROADCAST = scenarios.get("partitioned-broadcast")
+DEADLINES = scenarios.get("slo-deadline-4ms")
+AUTOSCALED = scenarios.get("autoscale-overload")
+SKEWED = scenarios.get("skewed-partitioned")
+PARTITION_SHARDS = BROADCAST.deployment.shards
+K = HI.stream.k
 
 
 @lru_cache(maxsize=1)
 def _partition_reference():
     """Exact ground truth + the replicated pool's offline results (the
     "no partitioning" reference a deployment would compare to)."""
-    vectors, pool = _dataset()
+    vectors, pool = BROADCAST.deployment.dataset()
     gt, _ = BruteForceIndex(vectors).search_batch(pool, K)
-    replicated_ids, _, _ = _replicated_router(1).search_all(pool, K)
+    replicated_ids, _, _ = HI.deployment.router().search_all(pool, K)
     return gt, replicated_ids, recall_at_k(replicated_ids, gt, K)
 
 
 # ---- sweep rows: one pure function per cell family ---------------------
+# Every row is a variant of a named scenario; each run builds a fresh
+# router over the memoized build artifacts, so rows on one deployment
+# share its indexes.
 
 
 def _sweep_row(policy: str, shards: int, rate: float) -> dict:
-    _, pool = _dataset()
-    report = _run_cell(
-        _replicated_router(shards),
-        pool,
+    report, _, _ = HI.variant(
+        shards=shards,
         arrivals=PoissonArrivals(rate),
-        policy=BatchPolicy(max_batch_size=32, max_wait_s=2e-3, mode=policy),
-        pipelined=True,
-        coalesce=False,  # uniform pool: nothing to coalesce
-    )
+        policy=replace(HI.config.policy, mode=policy),
+    ).run()
     return {
         "policy": policy,
         "shards": shards,
@@ -255,20 +141,16 @@ def _sweep_row(policy: str, shards: int, rate: float) -> dict:
 
 
 def _pipeline_row(platform: str, rate: float) -> dict:
-    _, pool = _dataset()
-    router = (
-        _cpu_spill_router() if platform == "cpu" else _replicated_router(1)
-    )
+    # The CPU host with a spilling DRAM (the billion-scale analogue:
+    # the corpus does not fit, every access reads the SSD) has the
+    # fattest front stage, so it shows the pipeline overlap most
+    # clearly.
+    name = "cpu-spill-{}-bursty" if platform == "cpu" else "{}-x1-bursty"
     cells = {}
-    for mode, pipelined in (("blocking", False), ("pipelined", True)):
-        cells[mode] = _run_cell(
-            router,
-            pool,
-            arrivals=MMPPArrivals(rate),
-            policy=BatchPolicy(max_batch_size=32, max_wait_s=2e-3),
-            pipelined=pipelined,
-            coalesce=False,
-        )
+    for mode in ("blocking", "pipelined"):
+        cells[mode], _, _ = scenarios.get(name.format(mode)).variant(
+            arrivals=MMPPArrivals(rate)
+        ).run()
     return {
         "platform": platform,
         "arrivals": "mmpp",
@@ -290,22 +172,14 @@ def _partitioned_row(nprobe: int | None) -> dict:
     # the nprobe shards whose k-means centroids are nearest.  Recall is
     # measured offline on the query pool, against exact ground truth
     # and against the replicated pool's results.
-    _, pool = _dataset()
-    part_router = _partitioned_router()
+    _, pool = BROADCAST.deployment.dataset()
+    router = BROADCAST.deployment.router()
     gt, replicated_ids, recall_replicated = _partition_reference()
     if nprobe is None:
-        ids, _, _ = part_router.search_all(pool, K)
+        ids, _, _ = router.search_all(pool, K)
     else:
-        ids, _, _ = part_router.search_probed(pool, K, nprobe)
-    report = _run_cell(
-        part_router,
-        pool,
-        arrivals=PoissonArrivals(PARTITION_RATE),
-        policy=BatchPolicy(max_batch_size=32, max_wait_s=2e-3),
-        pipelined=True,
-        coalesce=False,
-        nprobe=nprobe,
-    )
+        ids, _, _ = router.search_probed(pool, K, nprobe)
+    report, _, _ = BROADCAST.variant(nprobe=nprobe).run()
     return {
         "routing": "broadcast" if nprobe is None else f"nprobe={nprobe}",
         "nprobe": PARTITION_SHARDS if nprobe is None else nprobe,
@@ -322,16 +196,9 @@ def _partitioned_row(nprobe: int | None) -> dict:
 
 
 def _coalesce_row(coalesce: bool) -> dict:
-    _, pool = _dataset()
-    report = _run_cell(
-        _replicated_router(1),
-        pool,
-        arrivals=MMPPArrivals(20000.0),
-        policy=BatchPolicy(max_batch_size=32, max_wait_s=2e-3),
-        pipelined=True,
-        coalesce=coalesce,
-        zipf=1.1,
-    )
+    report, _, _ = scenarios.get("coalesce-zipf-bursty").variant(
+        coalesce=coalesce
+    ).run()
     return {
         "coalesce": coalesce,
         "searched": report.completed,
@@ -348,18 +215,8 @@ def _observability_row() -> dict:
     # exactly (asserted in the bench test); the full report travels
     # through :meth:`ServingReport.to_dict` and the Chrome trace is
     # persisted as a separate CI artifact by the bench test.
-    _, pool = _dataset()
     tracer = SpanTracer()
-    obs_report = _run_cell(
-        _replicated_router(1),
-        pool,
-        arrivals=PoissonArrivals(RATES[-1]),
-        policy=BatchPolicy(max_batch_size=32, max_wait_s=2e-3, mode="batch"),
-        pipelined=True,
-        coalesce=False,
-        metrics_window_s=OBS_WINDOW_S,
-        tracer=tracer,
-    )
+    obs_report, _, _ = HI.run(tracer=tracer, metrics_window_s=OBS_WINDOW_S)
     return {
         "report": obs_report.to_dict(),
         "trace": tracer.to_json(),
@@ -370,30 +227,14 @@ def _observability_row() -> dict:
 def _slo_row(deadline_ms: float) -> dict:
     # Two priority classes share the stream (the high class carries the
     # tight deadline, the best-effort class 4x the budget); each
-    # deadline runs under the slo policy (drain-time-predicted closes)
-    # and under the classic max-wait policy, same stream and pool.
-    _, pool = _dataset()
-    slo_spec = {1: deadline_ms * 1e-3, 0: 4 * deadline_ms * 1e-3}
-    cells = {}
-    for mode in ("slo", "batch"):
-        # The margin absorbs service-model error (per-query trace
-        # variance around the affine fit); it only means anything to
-        # the slo policy.
-        cells[mode] = _run_cell(
-            _replicated_router(1),
-            pool,
-            arrivals=PoissonArrivals(SLO_RATE),
-            policy=BatchPolicy(
-                max_batch_size=32, max_wait_s=20e-3, mode=mode,
-                slo_margin_s=SLO_MARGIN_S if mode == "slo" else 0.0,
-            ),
-            pipelined=True,
-            coalesce=False,
-            priorities=(0, 1),
-            weights=(1.0 - SLO_HIGH_FRAC, SLO_HIGH_FRAC),
-            slo=slo_spec,
-        )
-    slo_report, batch_report = cells["slo"], cells["batch"]
+    # deadline runs under the slo policy (drain-time-predicted closes,
+    # with a margin that absorbs service-model error) and under the
+    # classic max-wait policy, same stream and pool.
+    slo_s = ((1, deadline_ms * 1e-3), (0, 4 * deadline_ms * 1e-3))
+    slo_report, _, _ = DEADLINES.variant(slo_s=slo_s).run()
+    batch_report, _, _ = scenarios.get("maxwait-deadline-4ms").variant(
+        slo_s=slo_s
+    ).run()
     return {
         "deadline_ms": deadline_ms,
         "miss_rate_slo": slo_report.deadline_miss_rate,
@@ -413,28 +254,11 @@ def _slo_row(deadline_ms: float) -> dict:
 
 
 def _autoscale_row(scaled: bool) -> dict:
-    _, pool = _dataset()
-    policy = (
-        AutoscalePolicy(
-            min_replicas=1,
-            max_replicas=AUTOSCALE_MAX_REPLICAS,
-            interval_s=2e-3,
-            high_utilization=0.7,
-            high_queue_depth=8.0,
-        )
-        if scaled
-        else None
-    )
-    report = _run_cell(
-        _replicated_router(1),
-        pool,
-        arrivals=PoissonArrivals(AUTOSCALE_RATE),
-        policy=BatchPolicy(max_batch_size=4, max_wait_s=2e-3),
-        pipelined=True,
-        coalesce=False,
-        admission=AUTOSCALE_CAPACITY,
-        autoscale=policy,
-    )
+    # Offered load far above one replica's capacity with small batches,
+    # so the static pool's in-service backlog fills the admission bound.
+    report, _, _ = (
+        AUTOSCALED if scaled else scenarios.get("static-overload")
+    ).run()
     return {
         "pool": "autoscaled" if scaled else "static",
         "qps": report.qps,
@@ -450,24 +274,10 @@ def _autoscale_row(scaled: bool) -> dict:
 def _rebalance_row(moved: bool) -> dict:
     # A skewed Zipfian stream routed with nprobe=1 piles onto the
     # devices owning the popular clusters; the rebalancer migrates hot
-    # clusters to cold devices.  Each run builds a fresh pool:
-    # migration mutates the cluster placement.
-    _, pool = _dataset()
-    router = _partitioned_router(
-        clusters_per_shard=REBALANCE_CLUSTERS_PER_SHARD
-    )
-    report = _run_cell(
-        router,
-        pool,
-        arrivals=PoissonArrivals(REBALANCE_RATE),
-        policy=BatchPolicy(max_batch_size=16, max_wait_s=2e-3),
-        pipelined=True,
-        coalesce=False,
-        zipf=REBALANCE_ZIPF,
-        nprobe=1,
-        slo=REBALANCE_SLO_S,
-        rebalance=REBALANCE_POLICY if moved else None,
-    )
+    # clusters to cold devices.
+    report, _, _ = SKEWED.variant(
+        rebalance=REBALANCE_POLICY if moved else None
+    ).run()
     return {
         "placement": "rebalanced" if moved else "static",
         "qps": report.qps,
@@ -484,33 +294,13 @@ def _rebalance_row(moved: bool) -> dict:
 
 
 def _flash_row(enabled: bool) -> dict:
-    # The rebalance sweep's skewed workload again (partitioned pool,
-    # Zipfian stream, nprobe=1), now with a live FTL + ECC under every
-    # device: cluster reads accumulate read disturb, hot blocks cross
-    # the threshold and refresh (a GC pause booked on the device), and
-    # LDPC retry storms jitter individual reads.  The flash-off leg is
-    # the same cell with ``flash=None`` — the parity baseline.
-    _, pool = _dataset()
-    router = _partitioned_router(
-        clusters_per_shard=REBALANCE_CLUSTERS_PER_SHARD
-    )
-    report = _run_cell(
-        router,
-        pool,
-        arrivals=PoissonArrivals(REBALANCE_RATE),
-        policy=BatchPolicy(max_batch_size=16, max_wait_s=2e-3),
-        pipelined=True,
-        coalesce=False,
-        zipf=REBALANCE_ZIPF,
-        nprobe=1,
-        slo=REBALANCE_SLO_S,
-        flash=FlashConfig(
-            read_disturb_threshold=FLASH_THRESHOLD,
-            ecc_hard_failure_prob=FLASH_ECC_PROB,
-        )
-        if enabled
-        else None,
-    )
+    # The rebalance comparison's skewed cell again, now with a live
+    # FTL + ECC under every device: cluster reads accumulate read
+    # disturb, hot blocks cross the threshold and refresh (a GC pause
+    # booked on the device), and LDPC retry storms jitter individual
+    # reads.  The flash-off leg is the same cell with ``flash=None`` —
+    # the parity baseline.
+    report, _, _ = SKEWED.variant(flash=FLASH if enabled else None).run()
     row = {
         "storage": "flash" if enabled else "ideal",
         "qps": report.qps,
@@ -537,26 +327,15 @@ def _twin_base():
     twin window by window.  Built once per process; every what-if row
     forks from its checkpoints.
     """
-    _, pool = _dataset()
+    _, pool = BROADCAST.deployment.dataset()
     twin = ServingTwin(
-        _partitioned_router,
-        ServingConfig(
-            policy=BatchPolicy(max_batch_size=32, max_wait_s=2e-3),
-            cache_capacity=0,
-            coalesce=False,
-        ),
+        BROADCAST.deployment.router,
+        BROADCAST.config,
         pool,
         window_s=TWIN_WINDOW_S,
         calibrate_k=K,
     )
-    arrivals = QueryStream(
-        PoissonArrivals(PARTITION_RATE),
-        pool_size=POOL,
-        n_requests=REQUESTS,
-        k=K,
-        zipf_exponent=0.0,
-        seed=33,
-    ).generate()
+    arrivals = BROADCAST.requests()
     last_arrival = arrivals[-1].arrival_s
     fed, window = 0, 1
     while window * TWIN_WINDOW_S <= last_arrival:
@@ -590,15 +369,7 @@ def _twin_row(nprobe) -> dict:
         "checkpoints": len(twin.checkpoints),
     }
     if nprobe == "keep":
-        _, pool = _dataset()
-        scratch = _run_cell(
-            _partitioned_router(),
-            pool,
-            arrivals=PoissonArrivals(PARTITION_RATE),
-            policy=BatchPolicy(max_batch_size=32, max_wait_s=2e-3),
-            pipelined=True,
-            coalesce=False,
-        )
+        scratch, _, _ = BROADCAST.run()
         row["identical"] = (
             json.dumps(answer.to_dict(), sort_keys=True)
             == json.dumps(scratch.to_dict(), sort_keys=True)
@@ -630,9 +401,7 @@ _SECTION_ROWS = {
 }
 
 
-def _row_specs(
-    slo: bool, autoscale: bool, rebalance: bool, flash: bool
-) -> list[tuple[str, dict]]:
+def _row_specs() -> list[tuple[str, dict]]:
     """The sweep matrix as ``(section, spec)`` rows, in the order the
     sections assemble."""
     rows: list[tuple[str, dict]] = []
@@ -653,35 +422,21 @@ def _row_specs(
     rows.append(("observability", {}))
     for nprobe in ("keep", 1, 2):
         rows.append(("twin", {"nprobe": nprobe}))
-    if slo:
-        for deadline_ms in SLO_DEADLINES_MS:
-            rows.append(("slo", {"deadline_ms": deadline_ms}))
-    if autoscale:
-        for scaled in (False, True):
-            rows.append(("autoscale", {"scaled": scaled}))
-    if rebalance:
-        for moved in (False, True):
-            rows.append(("rebalance", {"moved": moved}))
-    if flash:
-        for enabled in (False, True):
-            rows.append(("flash", {"enabled": enabled}))
+    for deadline_ms in SLO_DEADLINES_MS:
+        rows.append(("slo", {"deadline_ms": deadline_ms}))
+    for scaled in (False, True):
+        rows.append(("autoscale", {"scaled": scaled}))
+    for moved in (False, True):
+        rows.append(("rebalance", {"moved": moved}))
+    for enabled in (False, True):
+        rows.append(("flash", {"enabled": enabled}))
     return rows
 
 
-def collect(
-    slo: bool = False, autoscale: bool = False, rebalance: bool = False,
-    flash: bool = False,
-) -> dict:
+def collect() -> dict:
     """Run the sweep matrix in-process, row by row."""
-    results: dict = {
-        "sweep": [],
-        "pipeline": [],
-        "partitioned": [],
-        "coalescing": [],
-        "observability": None,
-        "twin": [],
-    }
-    for section, spec in _row_specs(slo, autoscale, rebalance, flash):
+    results: dict = {}
+    for section, spec in _row_specs():
         output = _SECTION_ROWS[section](**spec)
         if section == "observability":
             results["observability"] = output
@@ -747,115 +502,118 @@ def run(results: dict | None = None) -> str:
             f"{results['partitioned'][0]['recall_replicated_baseline']:.4f})"
         ),
     )
-    tables = [sweep_table, pipeline_table, partition_table]
-    if results.get("twin"):
-        tables.append(
-            format_table(
-                ["fork", "QPS", "p50 ms", "p99 ms", "probes/q", "searched",
-                 "note"],
-                [
-                    [
-                        r["routing"],
-                        f"{r['qps']:,.0f}",
-                        f"{r['p50_ms']:.3f}",
-                        f"{r['p99_ms']:.3f}",
-                        f"{r['probes_per_query']:.2f}",
-                        r["searched"],
-                        (
-                            "byte-identical to scratch"
-                            if r.get("identical")
-                            else "final window re-routed"
-                        ),
-                    ]
-                    for r in results["twin"]
-                ],
-                title=(
-                    f"incremental what-if forks off one warm prefix "
-                    f"(twin, {TWIN_WINDOW_S * 1e3:g} ms checkpoints, "
-                    f"{results['twin'][0]['checkpoints']} snapshots)"
+    twin_table = format_table(
+        ["fork", "QPS", "p50 ms", "p99 ms", "probes/q", "searched", "note"],
+        [
+            [
+                r["routing"],
+                f"{r['qps']:,.0f}",
+                f"{r['p50_ms']:.3f}",
+                f"{r['p99_ms']:.3f}",
+                f"{r['probes_per_query']:.2f}",
+                r["searched"],
+                (
+                    "byte-identical to scratch"
+                    if r.get("identical")
+                    else "final window re-routed"
                 ),
-            )
-        )
-    if "slo" in results:
-        tables.append(
-            format_table(
-                ["deadline ms", "miss slo", "miss wait", "hi attain slo",
-                 "hi attain wait", "goodput slo", "p99 slo", "p99 wait",
-                 "batch slo"],
-                [
-                    [
-                        f"{r['deadline_ms']:g}",
-                        f"{r['miss_rate_slo']:.1%}",
-                        f"{r['miss_rate_max_wait']:.1%}",
-                        f"{r['attainment_high_slo']:.1%}",
-                        f"{r['attainment_high_max_wait']:.1%}",
-                        f"{r['goodput_slo']:,.0f}",
-                        f"{r['p99_ms_slo']:.3f}",
-                        f"{r['p99_ms_max_wait']:.3f}",
-                        f"{r['mean_batch_slo']:.1f}",
-                    ]
-                    for r in results["slo"]
-                ],
-                title=(
-                    f"slo policy vs max-wait @ {SLO_RATE:g} QPS "
-                    f"(high-priority deadline sweep, best-effort = 4x)"
-                ),
-            )
-        )
-    if "rebalance" in results:
-        tables.append(
-            format_table(
-                ["placement", "QPS", "goodput", "p99 ms", "miss", "max util",
-                 "migr", "MB moved"],
-                [
-                    [
-                        r["placement"],
-                        f"{r['qps']:,.0f}",
-                        f"{r['goodput']:,.0f}",
-                        f"{r['p99_ms']:.3f}",
-                        f"{r['miss_rate']:.1%}",
-                        f"{r['max_util']:.0%}",
-                        len(r["migrations"]),
-                        f"{r['bytes_moved'] / 1e6:.2f}",
-                    ]
-                    for r in results["rebalance"]
-                ],
-                title=(
-                    f"static vs rebalanced partitioned x{REBALANCE_SHARDS} "
-                    f"@ {REBALANCE_RATE:g} QPS (zipf {REBALANCE_ZIPF:g}, "
-                    f"nprobe 1, "
-                    f"{REBALANCE_CLUSTERS_PER_SHARD} clusters/shard)"
-                ),
-            )
-        )
-    if "flash" in results:
-        tables.append(_flash_table(results["flash"]))
-    if "autoscale" in results:
-        tables.append(
-            format_table(
-                ["pool", "QPS", "shed", "shed rate", "p99 ms", "queue",
-                 "events", "replicas"],
-                [
-                    [
-                        r["pool"],
-                        f"{r['qps']:,.0f}",
-                        r["shed"],
-                        f"{r['shed_rate']:.1%}",
-                        f"{r['p99_ms']:.3f}",
-                        f"{r['mean_queue_depth']:.1f}",
-                        len(r["scale_events"]),
-                        r["replicas_final"],
-                    ]
-                    for r in results["autoscale"]
-                ],
-                title=(
-                    f"static vs autoscaled pool @ {AUTOSCALE_RATE:g} QPS "
-                    f"(capacity {AUTOSCALE_CAPACITY}, "
-                    f"max {AUTOSCALE_MAX_REPLICAS} replicas)"
-                ),
-            )
-        )
-    return "\n\n".join(tables)
+            ]
+            for r in results["twin"]
+        ],
+        title=(
+            f"incremental what-if forks off one warm prefix "
+            f"(twin, {TWIN_WINDOW_S * 1e3:g} ms checkpoints, "
+            f"{results['twin'][0]['checkpoints']} snapshots)"
+        ),
+    )
+    slo_table = format_table(
+        ["deadline ms", "miss slo", "miss wait", "hi attain slo",
+         "hi attain wait", "goodput slo", "p99 slo", "p99 wait",
+         "batch slo"],
+        [
+            [
+                f"{r['deadline_ms']:g}",
+                f"{r['miss_rate_slo']:.1%}",
+                f"{r['miss_rate_max_wait']:.1%}",
+                f"{r['attainment_high_slo']:.1%}",
+                f"{r['attainment_high_max_wait']:.1%}",
+                f"{r['goodput_slo']:,.0f}",
+                f"{r['p99_ms_slo']:.3f}",
+                f"{r['p99_ms_max_wait']:.3f}",
+                f"{r['mean_batch_slo']:.1f}",
+            ]
+            for r in results["slo"]
+        ],
+        title=(
+            f"slo policy vs max-wait @ "
+            f"{DEADLINES.stream.arrivals.rate_qps:g} QPS "
+            f"(high-priority deadline sweep, best-effort = 4x)"
+        ),
+    )
+    rebalance_table = format_table(
+        ["placement", "QPS", "goodput", "p99 ms", "miss", "max util",
+         "migr", "MB moved"],
+        [
+            [
+                r["placement"],
+                f"{r['qps']:,.0f}",
+                f"{r['goodput']:,.0f}",
+                f"{r['p99_ms']:.3f}",
+                f"{r['miss_rate']:.1%}",
+                f"{r['max_util']:.0%}",
+                len(r["migrations"]),
+                f"{r['bytes_moved'] / 1e6:.2f}",
+            ]
+            for r in results["rebalance"]
+        ],
+        title=_skewed_title(
+            "static vs rebalanced partitioned",
+            f"{SKEWED.deployment.clusters_per_shard} clusters/shard",
+        ),
+    )
+    autoscale = AUTOSCALED.config
+    autoscale_table = format_table(
+        ["pool", "QPS", "shed", "shed rate", "p99 ms", "queue",
+         "events", "replicas"],
+        [
+            [
+                r["pool"],
+                f"{r['qps']:,.0f}",
+                r["shed"],
+                f"{r['shed_rate']:.1%}",
+                f"{r['p99_ms']:.3f}",
+                f"{r['mean_queue_depth']:.1f}",
+                len(r["scale_events"]),
+                r["replicas_final"],
+            ]
+            for r in results["autoscale"]
+        ],
+        title=(
+            f"static vs autoscaled pool @ "
+            f"{AUTOSCALED.stream.arrivals.rate_qps:g} QPS "
+            f"(capacity {autoscale.admission_capacity}, "
+            f"max {autoscale.autoscale.max_replicas} replicas)"
+        ),
+    )
+    return "\n\n".join([
+        sweep_table,
+        pipeline_table,
+        partition_table,
+        twin_table,
+        slo_table,
+        rebalance_table,
+        _flash_table(results["flash"]),
+        autoscale_table,
+    ])
+
+
+def _skewed_title(what: str, detail: str) -> str:
+    return (
+        f"{what} x{SKEWED.deployment.shards} @ "
+        f"{SKEWED.stream.arrivals.rate_qps:g} QPS "
+        f"(zipf {SKEWED.stream.zipf:g}, nprobe {SKEWED.config.nprobe}, "
+        f"{detail})"
+    )
 
 
 def _flash_table(rows: list[dict]) -> str:
@@ -878,20 +636,17 @@ def _flash_table(rows: list[dict]) -> str:
             ]
             for r in rows
         ],
-        title=(
-            f"ideal vs stateful flash, partitioned "
-            f"x{REBALANCE_SHARDS} @ {REBALANCE_RATE:g} QPS "
-            f"(zipf {REBALANCE_ZIPF:g}, nprobe 1, disturb "
-            f"threshold {FLASH_THRESHOLD})"
+        title=_skewed_title(
+            "ideal vs stateful flash, partitioned",
+            f"disturb threshold {FLASH.read_disturb_threshold}",
         ),
     )
 
 
 def check_flash_rows(rows: list[dict]) -> None:
-    """The --flash acceptance assertions, shared by the pytest sweep
-    and the standalone tier-1 runner: the same skewed cell through a
-    live FTL pays for its reads — GC refresh pauses inflate the tail,
-    hot clusters wear their blocks harder than cold ones, and
+    """The stateful-flash acceptance assertions: the same skewed cell
+    through a live FTL pays for its reads — GC refresh pauses inflate
+    the tail, hot clusters wear their blocks harder than cold ones, and
     relocation writes amplify beyond the host's."""
     ideal, stateful = rows
     assert ideal["storage"] == "ideal"
@@ -911,17 +666,8 @@ def check_flash_rows(rows: list[dict]) -> None:
     assert erases.get(hot, 0) > erases.get(cold, 0), (reads, erases)
 
 
-def test_bench_serving(benchmark, record_table, record_json, request):
-    slo = request.config.getoption("--slo")
-    autoscale = request.config.getoption("--autoscale")
-    rebalance = request.config.getoption("--rebalance")
-    flash = request.config.getoption("--flash")
-    results = benchmark.pedantic(
-        lambda: collect(
-            slo=slo, autoscale=autoscale, rebalance=rebalance, flash=flash,
-        ),
-        rounds=1, iterations=1,
-    )
+def test_bench_serving(benchmark, record_table, record_json):
+    results = benchmark.pedantic(collect, rounds=1, iterations=1)
     # The Chrome trace goes to its own artifact (it is a standalone
     # Perfetto-loadable file, and it would bloat the sweep JSON).
     trace = results["observability"].pop("trace")
@@ -996,12 +742,12 @@ def test_bench_serving(benchmark, record_table, record_json, request):
     assert obs["qps"] == untraced["qps"]
     assert obs["latency_p99_s"] * 1e3 == untraced["p99_ms"]
     assert obs["counters"]["loop_events_total"] > 0
-    assert obs["counters"]["loop_events_Arrival"] == REQUESTS
+    assert obs["counters"]["loop_events_Arrival"] == HI.stream.requests
     series = obs["timeseries"]
     assert series["window_s"] == OBS_WINDOW_S
     windows = series["windows"]
     assert sum(w["counters"]["completions"] for w in windows) == obs["completed"]
-    assert sum(w["counters"]["arrivals"] for w in windows) == REQUESTS
+    assert sum(w["counters"]["arrivals"] for w in windows) == HI.stream.requests
     assert results["observability"]["trace_events"] == len(trace["traceEvents"])
     assert trace["traceEvents"], "traced run recorded no events"
     for event in trace["traceEvents"]:
@@ -1025,93 +771,54 @@ def test_bench_serving(benchmark, record_table, record_json, request):
         < twin_rows["nprobe=2"]["probes_per_query"]
     )
 
-    # SLO sweep (--slo): loosening the deadline never raises the miss
-    # rate, the slo policy keeps >= 95% high-priority attainment, and
-    # it never misses more than the fixed max-wait policy it replaces.
-    if "slo" in results:
-        slo_rows = results["slo"]
-        for tight, loose in zip(slo_rows[:-1], slo_rows[1:]):
-            assert loose["miss_rate_slo"] <= tight["miss_rate_slo"] + 1e-9, (
-                tight, loose,
-            )
-        for r in slo_rows:
-            # Attainment must be earned, not vacuous: the high class
-            # actually gets served, and nearly all of it on time.
-            assert r["high_served_slo"] > 0, r
-            assert r["high_shed_slo"] == 0, r
-            assert r["attainment_high_slo"] >= 0.95, r
-            assert r["miss_rate_slo"] <= r["miss_rate_max_wait"] + 1e-9, r
+    # SLO sweep: loosening the deadline never raises the miss rate, the
+    # slo policy keeps >= 95% high-priority attainment, and it never
+    # misses more than the fixed max-wait policy it replaces.
+    slo_rows = results["slo"]
+    for tight, loose in zip(slo_rows[:-1], slo_rows[1:]):
+        assert loose["miss_rate_slo"] <= tight["miss_rate_slo"] + 1e-9, (
+            tight, loose,
+        )
+    for r in slo_rows:
+        # Attainment must be earned, not vacuous: the high class
+        # actually gets served, and nearly all of it on time.
+        assert r["high_served_slo"] > 0, r
+        assert r["high_shed_slo"] == 0, r
+        assert r["attainment_high_slo"] >= 0.95, r
+        assert r["miss_rate_slo"] <= r["miss_rate_max_wait"] + 1e-9, r
 
-    # Autoscaling (--autoscale): above a static replica's capacity the
-    # scaled pool sheds less and holds a lower p99.
-    if "autoscale" in results:
-        static, scaled = results["autoscale"]
-        assert static["pool"] == "static" and scaled["pool"] == "autoscaled"
-        assert static["shed"] > 0
-        assert scaled["shed"] < static["shed"]
-        assert scaled["p99_ms"] < static["p99_ms"]
-        assert scaled["scale_events"]
-        assert scaled["replicas_final"] > 1
+    # Autoscaling: above a static replica's capacity the scaled pool
+    # sheds less and holds a lower p99.
+    static, scaled = results["autoscale"]
+    assert static["pool"] == "static" and scaled["pool"] == "autoscaled"
+    assert static["shed"] > 0
+    assert scaled["shed"] < static["shed"]
+    assert scaled["p99_ms"] < static["p99_ms"]
+    assert scaled["scale_events"]
+    assert scaled["replicas_final"] > 1
 
-    # Rebalancing (--rebalance): under skewed Zipfian load the
-    # migrated placement beats the static one on tail latency and
-    # on-time throughput, by unloading the hottest device.
-    if "rebalance" in results:
-        static, moved = results["rebalance"]
-        assert static["placement"] == "static"
-        assert moved["placement"] == "rebalanced"
-        assert moved["migrations"], "skew never triggered a migration"
-        assert moved["bytes_moved"] > 0
-        assert moved["p99_ms"] < static["p99_ms"], (static, moved)
-        assert moved["goodput"] > static["goodput"], (static, moved)
-        assert moved["max_util"] < static["max_util"]
-        # The log replays onto the final placement (atomic commits).
-        placement = [
-            c % REBALANCE_SHARDS
-            for c in range(REBALANCE_SHARDS * REBALANCE_CLUSTERS_PER_SHARD)
-        ]
-        for event in moved["migrations"]:
-            assert placement[event["cluster"]] == event["source"]
-            placement[event["cluster"]] = event["dest"]
-        assert placement == moved["cluster_map_final"]
+    # Rebalancing: under skewed Zipfian load the migrated placement
+    # beats the static one on tail latency and on-time throughput, by
+    # unloading the hottest device.
+    static, moved = results["rebalance"]
+    assert static["placement"] == "static"
+    assert moved["placement"] == "rebalanced"
+    assert moved["migrations"], "skew never triggered a migration"
+    assert moved["bytes_moved"] > 0
+    assert moved["p99_ms"] < static["p99_ms"], (static, moved)
+    assert moved["goodput"] > static["goodput"], (static, moved)
+    assert moved["max_util"] < static["max_util"]
+    # The log replays onto the final placement (atomic commits).
+    shards = SKEWED.deployment.shards
+    placement = [
+        c % shards
+        for c in range(shards * SKEWED.deployment.clusters_per_shard)
+    ]
+    for event in moved["migrations"]:
+        assert placement[event["cluster"]] == event["source"]
+        placement[event["cluster"]] = event["dest"]
+    assert placement == moved["cluster_map_final"]
 
-    # Stateful flash (--flash): GC pauses shape the tail, wear skew
-    # follows read skew — the same assertions the standalone tier-1
-    # runner (`python benchmarks/bench_serving.py`) enforces.
-    if "flash" in results:
-        check_flash_rows(results["flash"])
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Standalone flash sweep for tier-1 CI (no pytest-benchmark
-    needed): run the ideal-vs-stateful-flash rows, assert the
-    acceptance shape (GC-pause p99 inflation, erase skew following
-    read skew, WA > 1) and write the wear/GC stats JSON artifact."""
-    import argparse
-    import json
-
-    parser = argparse.ArgumentParser(
-        description="Run the ideal-vs-stateful-flash serving rows and "
-                    "write the wear/GC stats.",
-    )
-    parser.add_argument(
-        "--out", type=Path,
-        default=Path(__file__).resolve().parent / "results" / "flash_wear.json",
-        help="wear/GC stats output path "
-             "(default benchmarks/results/flash_wear.json)",
-    )
-    args = parser.parse_args(argv)
-    rows = [_flash_row(enabled=False), _flash_row(enabled=True)]
-    print(_flash_table(rows))
-    check_flash_rows(rows)
-    args.out.parent.mkdir(exist_ok=True)
-    args.out.write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
-    print(f"\nOK: GC pauses inflate p99, erase skew follows read skew; "
-          f"wrote {args.out}")
-    return 0
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())
+    # Stateful flash: GC pauses shape the tail, wear skew follows read
+    # skew.
+    check_flash_rows(results["flash"])

@@ -42,6 +42,9 @@ platform models:
   re-simulation over deterministic window snapshots
   (:mod:`repro.sim.snapshot`), answering what-if queries by replaying
   only the changed suffix, memoized in a content-addressed cache.
+* :mod:`repro.serving.scenarios` — the named, frozen serving cells
+  (deployment x stream x config) the parity, twin, flash and
+  rebalance suites and the serving sweep all build from.
 
 Typical use::
 

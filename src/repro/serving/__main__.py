@@ -373,7 +373,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="distinct queries in the pool (default 256)")
     parser.add_argument("--k", type=int, default=10,
                         help="results per query (default 10)")
-    parser.add_argument("--seed", type=int, default=7, help="stream seed")
+    parser.add_argument("--seed", type=int, default=7,
+                        help="seeds the corpus, the query pool (seed + 1), "
+                             "the arrival stream and the partitioned "
+                             "k-means placement")
     parser.add_argument("--trace", metavar="PATH", default=None,
                         help="record request/batch/stage spans and write a "
                              "Chrome trace-event JSON file (load it in "

@@ -9,6 +9,8 @@ configurations and their :class:`~repro.serving.metrics.ServingReport`
 outputs — per-request outcomes, timestamps and results included — were
 required to match *bit for bit*.  The digests pinned below are those
 legacy-loop outputs; the kernel frontend must keep reproducing them.
+Each configuration is the cell of that name in
+:mod:`repro.serving.scenarios`.
 
 The digest covers, per configuration:
 
@@ -34,27 +36,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import replace
 
 import pytest
 
-from repro.core.config import NDSearchConfig
-from repro.serving import (
-    AutoscalePolicy,
-    BatchPolicy,
-    MMPPArrivals,
-    PoissonArrivals,
-    QueryStream,
-    ServingConfig,
-    ServingFrontend,
-    build_router,
-)
-from repro.serving.sharding import PARTITIONED
-
-# The bench_serving constants (benchmarks/bench_serving.py): same
-# corpus, pool and stream seeds as the sweep the parity was proven on.
-CORPUS, DIM, POOL, REQUESTS, K = 800, 16, 128, 400, 10
-STREAM_SEED = 33
+from repro.serving import scenarios
 
 #: Golden digests recorded from the legacy arrival-ordered loop at the
 #: event-kernel refactor boundary.
@@ -92,20 +77,6 @@ GOLDEN = {
 }
 
 
-def _stream(arrivals, zipf=0.0, priorities=(0,), weights=None, slo=None):
-    return QueryStream(
-        arrivals,
-        pool_size=POOL,
-        n_requests=REQUESTS,
-        k=K,
-        zipf_exponent=zipf,
-        seed=STREAM_SEED,
-        priorities=priorities,
-        priority_weights=weights,
-        slo_s=slo,
-    ).generate()
-
-
 def _digest(report, requests) -> str:
     h = hashlib.sha256()
     for r in requests:
@@ -136,143 +107,6 @@ def _digest(report, requests) -> str:
     return h.hexdigest()
 
 
-@pytest.fixture(scope="module")
-def corpus_and_pool():
-    from repro.data.synthetic import clustered_gaussian, split_queries
-
-    vectors = clustered_gaussian(CORPUS, DIM, seed=31)
-    pool = split_queries(vectors, POOL, seed=32)
-    return vectors, pool
-
-
-@pytest.fixture(scope="module")
-def routers(corpus_and_pool):
-    vectors, _ = corpus_and_pool
-    config = NDSearchConfig.scaled()
-    spill = replace(
-        config, host=replace(config.host, dram_capacity_bytes=16 * 1024)
-    )
-    return {
-        "x1": build_router(vectors, num_shards=1, config=config),
-        "x4": build_router(vectors, num_shards=4, config=config),
-        "part4": build_router(
-            vectors, num_shards=4, config=config, mode=PARTITIONED, seed=35
-        ),
-        "cpu2": build_router(
-            vectors, num_shards=2, config=spill, platform="cpu"
-        ),
-    }
-
-
-_SLO_SPEC = {1: 4e-3, 0: 16e-3}
-_SLO_KWARGS = dict(
-    priorities=(0, 1), weights=(0.75, 0.25), slo=_SLO_SPEC
-)
-
-
-def _run_case(
-    name, routers, pool, tracer=None, metrics_window_s=None,
-    build_only=False,
-):
-    """Build and run one pinned configuration; returns (report, requests).
-
-    ``tracer`` / ``metrics_window_s`` attach the :mod:`repro.obs`
-    instrumentation — which must never change a digest (the hooks are
-    observe-only; that is the invariant the traced parametrization of
-    the parity test proves).
-
-    ``build_only`` returns ``(frontend, requests)`` without running —
-    the snapshot/restore parity suite (``test_serving_twin``) drives
-    the same pinned configurations through the streaming session API
-    and must hit the same digests.
-    """
-
-    def _frontend(router, policy, **config_kwargs):
-        config_kwargs.setdefault("cache_capacity", 0)
-        config_kwargs.setdefault("coalesce", False)
-        config_kwargs.setdefault("metrics_window_s", metrics_window_s)
-        return ServingFrontend(
-            router, ServingConfig(policy=policy, **config_kwargs),
-            tracer=tracer,
-        )
-
-    batch = BatchPolicy(max_batch_size=32, max_wait_s=2e-3)
-    if name == "batch-x1-hi":
-        requests = _stream(PoissonArrivals(20000.0))
-        frontend = _frontend(routers["x1"], batch)
-    elif name == "greedy-x1-hi":
-        requests = _stream(PoissonArrivals(20000.0))
-        frontend = _frontend(
-            routers["x1"],
-            BatchPolicy(max_batch_size=32, max_wait_s=2e-3, mode="greedy"),
-        )
-    elif name == "batch-x4-lo":
-        requests = _stream(PoissonArrivals(500.0))
-        frontend = _frontend(routers["x4"], batch)
-    elif name == "pipelined-x1-bursty":
-        requests = _stream(MMPPArrivals(40000.0))
-        frontend = _frontend(routers["x1"], batch)
-    elif name == "blocking-x1-bursty":
-        requests = _stream(MMPPArrivals(40000.0))
-        frontend = _frontend(routers["x1"], batch, pipelined=False)
-    elif name == "cpu-spill-pipelined-bursty":
-        requests = _stream(MMPPArrivals(10000.0))
-        frontend = _frontend(routers["cpu2"], batch)
-    elif name == "cpu-spill-blocking-bursty":
-        requests = _stream(MMPPArrivals(10000.0))
-        frontend = _frontend(routers["cpu2"], batch, pipelined=False)
-    elif name == "partitioned-broadcast":
-        requests = _stream(PoissonArrivals(2000.0))
-        frontend = _frontend(routers["part4"], batch)
-    elif name == "partitioned-nprobe1":
-        requests = _stream(PoissonArrivals(2000.0))
-        frontend = _frontend(routers["part4"], batch, nprobe=1)
-    elif name == "partitioned-nprobe2":
-        requests = _stream(PoissonArrivals(2000.0))
-        frontend = _frontend(routers["part4"], batch, nprobe=2)
-    elif name == "coalesce-zipf-bursty":
-        requests = _stream(MMPPArrivals(20000.0), zipf=1.1)
-        frontend = _frontend(routers["x1"], batch, coalesce=True)
-    elif name == "slo-deadline-4ms":
-        requests = _stream(PoissonArrivals(4000.0), **_SLO_KWARGS)
-        frontend = _frontend(
-            routers["x1"],
-            BatchPolicy(
-                max_batch_size=32, max_wait_s=20e-3, mode="slo",
-                slo_margin_s=3e-4,
-            ),
-        )
-    elif name == "maxwait-deadline-4ms":
-        requests = _stream(PoissonArrivals(4000.0), **_SLO_KWARGS)
-        frontend = _frontend(
-            routers["x1"], BatchPolicy(max_batch_size=32, max_wait_s=20e-3)
-        )
-    elif name == "static-overload":
-        requests = _stream(PoissonArrivals(25000.0))
-        frontend = _frontend(
-            routers["overload"],
-            BatchPolicy(max_batch_size=4, max_wait_s=2e-3),
-            admission_capacity=48,
-        )
-    elif name == "autoscale-overload":
-        requests = _stream(PoissonArrivals(25000.0))
-        frontend = _frontend(
-            routers["overload"],
-            BatchPolicy(max_batch_size=4, max_wait_s=2e-3),
-            admission_capacity=48,
-            autoscale=AutoscalePolicy(
-                min_replicas=1, max_replicas=4, interval_s=2e-3,
-                high_utilization=0.7, high_queue_depth=8.0,
-            ),
-        )
-    else:  # pragma: no cover - config table typo
-        raise KeyError(name)
-    if build_only:
-        return frontend, requests
-    report = frontend.run(requests, pool)
-    return report, requests
-
-
 CASES = (
     "batch-x1-hi",
     "greedy-x1-hi",
@@ -295,29 +129,9 @@ _WRITE_PATH = os.environ.get("REPRO_WRITE_PARITY")
 _WRITTEN: dict[str, str] = {}
 
 
-@pytest.fixture(scope="module")
-def case_routers(routers, corpus_and_pool):
-    # The overload cells run a dedicated single replica so autoscaling
-    # cannot leak grown replicas into the shared x1 router.
-    vectors, _ = corpus_and_pool
-    out = dict(routers)
-    out["overload"] = None  # built lazily per case below
-    return out
-
-
 @pytest.mark.parametrize("traced", (False, True), ids=("plain", "traced"))
 @pytest.mark.parametrize("name", CASES)
-def test_event_kernel_reproduces_legacy_loop(
-    name, traced, case_routers, corpus_and_pool
-):
-    vectors, pool = corpus_and_pool
-    routers = dict(case_routers)
-    if name in ("static-overload", "autoscale-overload"):
-        # Fresh pool: autoscaling mutates the router (add/remove
-        # replicas), so these cells never share a router.
-        routers["overload"] = build_router(
-            vectors, num_shards=1, config=NDSearchConfig.scaled()
-        )
+def test_event_kernel_reproduces_legacy_loop(name, traced):
     # The traced leg attaches the full repro.obs instrumentation (span
     # tracer + windowed metrics) and must reproduce the same pinned
     # digests: observability is observe-only by construction, and this
@@ -327,10 +141,8 @@ def test_event_kernel_reproduces_legacy_loop(
         from repro.obs import SpanTracer
 
         tracer = SpanTracer()
-    report, requests = _run_case(
-        name, routers, pool,
-        tracer=tracer,
-        metrics_window_s=1e-3 if traced else None,
+    report, requests, _ = scenarios.get(name).run(
+        tracer=tracer, metrics_window_s=1e-3 if traced else None
     )
     got = _digest(report, requests)
     if traced:
@@ -349,3 +161,31 @@ def test_event_kernel_reproduces_legacy_loop(
         f"for {name!r}"
         + (" with repro.obs instrumentation attached" if traced else "")
     )
+
+
+# ---- the scenario registry the pinned cells are built from ---------------
+
+def test_registry_pins_exactly_the_golden_cells():
+    assert set(scenarios.PINNED) == set(GOLDEN) == set(CASES)
+    assert set(scenarios.PINNED) < set(scenarios.SCENARIOS)
+
+
+def test_every_build_gets_a_fresh_router():
+    # Autoscaling grows and shrinks its router's replica pool, so a
+    # second build sharing the first one's router would start from the
+    # grown pool and miss the digest.
+    scenario = scenarios.get("autoscale-overload")
+    routers = []
+    for _ in range(2):
+        report, requests, frontend = scenario.run()
+        assert report.scale_events
+        assert _digest(report, requests) == GOLDEN["autoscale-overload"]
+        routers.append(frontend.router)
+    assert routers[0] is not routers[1]
+
+
+def test_unknown_names_fail_loudly():
+    with pytest.raises(KeyError, match="no-such-cell.*batch-x1-hi"):
+        scenarios.get("no-such-cell")
+    with pytest.raises(TypeError, match="no_such_field"):
+        scenarios.get("batch-x1-hi").variant(no_such_field=1)

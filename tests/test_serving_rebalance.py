@@ -3,75 +3,24 @@
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.core.config import NDSearchConfig
 from repro.serving import (
-    AutoscalePolicy,
-    BatchPolicy,
-    PoissonArrivals,
-    QueryStream,
     RebalancePolicy,
     Rebalancer,
     ServingConfig,
     ServingFrontend,
-    build_router,
+    scenarios,
 )
 from repro.serving.request import COMPLETED
-from repro.serving.sharding import PARTITIONED
 
-CORPUS, DIM, POOL, REQUESTS, K = 800, 16, 128, 400, 10
-
-
-@pytest.fixture(scope="module")
-def config():
-    return NDSearchConfig.scaled()
-
-
-@pytest.fixture(scope="module")
-def corpus_and_pool():
-    from repro.data.synthetic import clustered_gaussian, split_queries
-
-    vectors = clustered_gaussian(CORPUS, DIM, seed=31)
-    return vectors, split_queries(vectors, POOL, seed=32)
-
-
-def skewed_stream(rate=16000.0, zipf=1.2, seed=33, slo_s=4e-3):
-    return QueryStream(
-        PoissonArrivals(rate),
-        pool_size=POOL,
-        n_requests=REQUESTS,
-        k=K,
-        zipf_exponent=zipf,
-        seed=seed,
-        slo_s=slo_s,
-    ).generate()
-
-
-def run_partitioned(
-    vectors, pool, config, rebalance, *, nprobe=1, clusters_per_shard=2,
-    stream=None,
-):
-    router = build_router(
-        vectors, num_shards=4, config=config, mode=PARTITIONED, seed=35,
-        clusters_per_shard=clusters_per_shard,
-    )
-    frontend = ServingFrontend(
-        router,
-        ServingConfig(
-            policy=BatchPolicy(max_batch_size=16, max_wait_s=2e-3),
-            cache_capacity=0,
-            coalesce=False,
-            nprobe=nprobe,
-            rebalance=rebalance,
-        ),
-    )
-    requests = stream if stream is not None else skewed_stream()
-    report = frontend.run(requests, pool)
-    return report, requests, frontend
-
+#: Cluster-routed (nprobe=1) Zipfian load over a 4 x 2-cluster
+#: partitioned pool; every run builds a fresh router, since migration
+#: mutates the placement.
+SKEWED = scenarios.get("skewed-partitioned")
 
 REBALANCE = RebalancePolicy(
     interval_s=2e-3, skew_threshold=0.25, migration_gbps=1.0
@@ -95,11 +44,8 @@ class TestPolicyValidation:
         with pytest.raises(ValueError):
             Rebalancer(REBALANCE, num_shards=1, num_clusters=2)
 
-    def test_rebalance_requires_partitioned_mode(
-        self, corpus_and_pool, config
-    ):
-        vectors, _ = corpus_and_pool
-        replicated = build_router(vectors, num_shards=2, config=config)
+    def test_rebalance_requires_partitioned_mode(self):
+        replicated = scenarios.get("batch-x4-lo").deployment.router()
         with pytest.raises(ValueError):
             ServingFrontend(
                 replicated, ServingConfig(rebalance=REBALANCE)
@@ -191,11 +137,8 @@ class TestDecisions:
 
 class TestEndToEnd:
     @pytest.fixture(scope="class")
-    def runs(self, corpus_and_pool, config):
-        vectors, pool = corpus_and_pool
-        static = run_partitioned(vectors, pool, config, None)
-        rebalanced = run_partitioned(vectors, pool, config, REBALANCE)
-        return static, rebalanced
+    def runs(self):
+        return SKEWED.run(), SKEWED.variant(rebalance=REBALANCE).run()
 
     def test_migrations_happen_and_are_recorded(self, runs):
         (_, _, _), (report, _, frontend) = runs
@@ -239,25 +182,16 @@ class TestEndToEnd:
             static.shard_utilization
         )
 
-    def test_migration_cost_is_booked_on_both_devices(
-        self, corpus_and_pool, config
-    ):
+    def test_migration_cost_is_booked_on_both_devices(self):
         """Data movement occupies the source and destination timelines:
         with an absurdly slow migration link, serving gets slower, not
         faster (the cost is real, not free)."""
-        vectors, pool = corpus_and_pool
-        free_ish = run_partitioned(
-            vectors, pool, config,
-            RebalancePolicy(
-                interval_s=2e-3, skew_threshold=0.25, migration_gbps=1000.0,
-            ),
-        )[0]
-        expensive = run_partitioned(
-            vectors, pool, config,
-            RebalancePolicy(
-                interval_s=2e-3, skew_threshold=0.25, migration_gbps=1e-3,
-            ),
-        )[0]
+        free_ish, _, _ = SKEWED.variant(
+            rebalance=replace(REBALANCE, migration_gbps=1000.0)
+        ).run()
+        expensive, _, _ = SKEWED.variant(
+            rebalance=replace(REBALANCE, migration_gbps=1e-3)
+        ).run()
         assert expensive.latency_p99_s > free_ish.latency_p99_s
 
 
@@ -281,41 +215,14 @@ class TestDeterminism:
         h.update(repr(report).encode())
         return h.hexdigest()
 
-    def test_rebalanced_run_is_bit_reproducible(
-        self, corpus_and_pool, config
-    ):
-        vectors, pool = corpus_and_pool
+    def _run_digest(self, scenario) -> str:
+        report, requests, _ = scenario.run()
+        return self._digest(report, requests)
 
-        def once():
-            report, requests, _ = run_partitioned(
-                vectors, pool, config, REBALANCE, stream=skewed_stream()
-            )
-            return self._digest(report, requests)
+    def test_rebalanced_run_is_bit_reproducible(self):
+        scenario = SKEWED.variant(rebalance=REBALANCE)
+        assert self._run_digest(scenario) == self._run_digest(scenario)
 
-        assert once() == once()
-
-    def test_autoscaled_run_is_bit_reproducible(
-        self, corpus_and_pool, config
-    ):
-        vectors, pool = corpus_and_pool
-
-        def once():
-            router = build_router(vectors, num_shards=1, config=config)
-            frontend = ServingFrontend(
-                router,
-                ServingConfig(
-                    policy=BatchPolicy(max_batch_size=4, max_wait_s=2e-3),
-                    cache_capacity=0,
-                    coalesce=False,
-                    admission_capacity=48,
-                    autoscale=AutoscalePolicy(
-                        min_replicas=1, max_replicas=4, interval_s=2e-3,
-                        high_utilization=0.7, high_queue_depth=8.0,
-                    ),
-                ),
-            )
-            requests = skewed_stream(rate=25000.0, zipf=0.0, slo_s=None)
-            report = frontend.run(requests, pool)
-            return self._digest(report, requests)
-
-        assert once() == once()
+    def test_autoscaled_run_is_bit_reproducible(self):
+        scenario = scenarios.get("autoscale-overload")
+        assert self._run_digest(scenario) == self._run_digest(scenario)

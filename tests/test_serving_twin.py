@@ -26,98 +26,44 @@ through ``to_dict``/``from_dict``/``format``.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import json
 from types import SimpleNamespace
 
 import pytest
 
-from repro.core.config import NDSearchConfig
 from repro.obs import SpanTracer
 from repro.serving import (
     AutoscalePolicy,
-    BatchPolicy,
     FlashConfig,
     PoissonArrivals,
-    QueryStream,
     RebalancePolicy,
-    ServingConfig,
     ServingFrontend,
-    build_router,
+    scenarios,
 )
 from repro.serving.metrics import ServingReport
-from repro.serving.sharding import PARTITIONED
 from repro.serving.twin import ServingTwin, TwinCache, config_digest
 from repro.sim.events import DataMovement, FlashMaintenance
 from repro.sim.snapshot import SNAPSHOT_VERSION
 
-from test_serving_parity import (
-    CASES,
-    CORPUS,
-    DIM,
-    GOLDEN,
-    K,
-    POOL,
-    REQUESTS,
-    STREAM_SEED,
-    _digest,
-    _run_case,
-)
-
-
-@pytest.fixture(scope="module")
-def corpus_and_pool():
-    from repro.data.synthetic import clustered_gaussian, split_queries
-
-    vectors = clustered_gaussian(CORPUS, DIM, seed=31)
-    pool = split_queries(vectors, POOL, seed=32)
-    return vectors, pool
-
-
-def _fresh_routers(vectors):
-    """A fresh router wrapper per leg.
-
-    The snapshot legs must not share mutable router state (autoscaling
-    adds/removes replicas on its router); ``build_router`` memoizes the
-    expensive immutable artifacts by content, so fresh wrappers are
-    cheap.
-    """
-    config = NDSearchConfig.scaled()
-    spill = dataclasses.replace(
-        config, host=dataclasses.replace(
-            config.host, dram_capacity_bytes=16 * 1024
-        )
-    )
-    return {
-        "x1": build_router(vectors, num_shards=1, config=config),
-        "x4": build_router(vectors, num_shards=4, config=config),
-        "part4": build_router(
-            vectors, num_shards=4, config=config, mode=PARTITIONED, seed=35
-        ),
-        "cpu2": build_router(
-            vectors, num_shards=2, config=spill, platform="cpu"
-        ),
-        "overload": build_router(vectors, num_shards=1, config=config),
-    }
-
-
-def _poisson_stream(rate=2000.0, zipf=0.0):
-    return QueryStream(
-        PoissonArrivals(rate), pool_size=POOL, n_requests=REQUESTS, k=K,
-        zipf_exponent=zipf, seed=STREAM_SEED,
-    ).generate()
+from test_serving_parity import CASES, GOLDEN, _digest
 
 
 def _report_bytes(report):
     return json.dumps(report.to_dict(), sort_keys=True).encode()
 
 
-_BATCH_CFG = dict(cache_capacity=0, coalesce=False)
-
-
-def _policy():
-    return BatchPolicy(max_batch_size=32, max_wait_s=2e-3)
+def _midpoint_snapshot(name, tracer=None, metrics_window_s=None, at=None):
+    """Stream the named cell up to its middle arrival (or request
+    ``at``) and snapshot it: ``(snapshot, requests, pool)``."""
+    frontend, requests, pool = scenarios.get(name).build(
+        tracer=tracer, metrics_window_s=metrics_window_s
+    )
+    frontend.stream_begin(pool, calibrate_k=max(r.k for r in requests))
+    frontend.stream_extend(requests)
+    cut = len(requests) // 2 if at is None else at
+    frontend.stream_step(requests[cut].arrival_s)
+    return frontend.snapshot(), requests, pool
 
 
 # ---- snapshot → restore → run parity vs the pinned digests ---------------
@@ -130,31 +76,18 @@ class TestSnapshotRestoreParity:
         "traced", (False, True), ids=("plain", "traced")
     )
     @pytest.mark.parametrize("name", CASES)
-    def test_restore_hits_golden_digest(
-        self, name, traced, corpus_and_pool
-    ):
-        vectors, pool = corpus_and_pool
-        tracer = SpanTracer() if traced else None
+    def test_restore_hits_golden_digest(self, name, traced):
         window = 1e-3 if traced else None
-        frontend, requests = _run_case(
-            name, _fresh_routers(vectors), pool,
-            tracer=tracer, metrics_window_s=window, build_only=True,
+        snapshot, requests, pool = _midpoint_snapshot(
+            name, tracer=SpanTracer() if traced else None,
+            metrics_window_s=window,
         )
-        frontend.stream_begin(
-            pool, calibrate_k=max(r.k for r in requests)
-        )
-        frontend.stream_extend(requests)
-        t_mid = requests[len(requests) // 2].arrival_s
-        frontend.stream_step(t_mid)
-        snapshot = frontend.snapshot()
         assert snapshot.version == SNAPSHOT_VERSION
-        assert snapshot.time == t_mid
+        assert snapshot.time == requests[len(requests) // 2].arrival_s
 
-        resumed_tracer = SpanTracer() if traced else None
-        resumed, _ = _run_case(
-            name, _fresh_routers(vectors), pool,
-            tracer=resumed_tracer, metrics_window_s=window,
-            build_only=True,
+        resumed, _, _ = scenarios.get(name).build(
+            tracer=SpanTracer() if traced else None,
+            metrics_window_s=window,
         )
         resumed.restore(snapshot, pool)
         report = resumed.stream_finish()
@@ -165,45 +98,25 @@ class TestSnapshotRestoreParity:
             + (" with instrumentation attached" if traced else "")
         )
 
-    def test_snapshot_digest_is_tracer_blind(self, corpus_and_pool):
+    def test_snapshot_digest_is_tracer_blind(self):
         # The captured state excludes the span tracer (observe-only by
         # construction), so a traced run and a plain run frozen at the
         # same point produce the same content address.  Windowed
         # metrics, by contrast, ARE simulation state — restore refuses
         # a windows-enabled snapshot into a windows-less frontend —
         # so both legs here run without them.
-        vectors, pool = corpus_and_pool
-        digests = []
-        for tracer in (None, SpanTracer()):
-            frontend, requests = _run_case(
-                "batch-x4-lo", _fresh_routers(vectors), pool,
-                tracer=tracer, build_only=True,
-            )
-            frontend.stream_begin(
-                pool, calibrate_k=max(r.k for r in requests)
-            )
-            frontend.stream_extend(requests)
-            frontend.stream_step(requests[len(requests) // 2].arrival_s)
-            digests.append(frontend.snapshot().digest)
+        digests = [
+            _midpoint_snapshot("batch-x4-lo", tracer=tracer)[0].digest
+            for tracer in (None, SpanTracer())
+        ]
         assert digests[0] == digests[1]
 
-    def test_snapshot_is_restorable_twice(self, corpus_and_pool):
+    def test_snapshot_is_restorable_twice(self):
         # Restoring deep-copies again: two forks of one checkpoint must
         # not share mutable state, so both reach the pinned digest.
-        vectors, pool = corpus_and_pool
-        frontend, requests = _run_case(
-            "partitioned-nprobe2", _fresh_routers(vectors), pool,
-            build_only=True,
-        )
-        frontend.stream_begin(pool, calibrate_k=max(r.k for r in requests))
-        frontend.stream_extend(requests)
-        frontend.stream_step(requests[len(requests) // 2].arrival_s)
-        snapshot = frontend.snapshot()
+        snapshot, _, pool = _midpoint_snapshot("partitioned-nprobe2")
         for _ in range(2):
-            fork, _ = _run_case(
-                "partitioned-nprobe2", _fresh_routers(vectors), pool,
-                build_only=True,
-            )
+            fork, _, _ = scenarios.get("partitioned-nprobe2").build()
             fork.restore(snapshot, pool)
             report = fork.stream_finish()
             assert (
@@ -211,29 +124,15 @@ class TestSnapshotRestoreParity:
                 == GOLDEN["partitioned-nprobe2"]
             )
 
-    def test_restore_rejects_version_and_mode_mismatch(
-        self, corpus_and_pool
-    ):
-        vectors, pool = corpus_and_pool
-        frontend, requests = _run_case(
-            "batch-x4-lo", _fresh_routers(vectors), pool, build_only=True
-        )
-        frontend.stream_begin(pool, calibrate_k=max(r.k for r in requests))
-        frontend.stream_extend(requests)
-        frontend.stream_step(requests[10].arrival_s)
-        snapshot = frontend.snapshot()
+    def test_restore_rejects_version_and_mode_mismatch(self):
+        snapshot, _, pool = _midpoint_snapshot("batch-x4-lo", at=10)
 
         stale = dataclasses.replace(snapshot, version=SNAPSHOT_VERSION + 1)
-        target, _ = _run_case(
-            "batch-x4-lo", _fresh_routers(vectors), pool, build_only=True
-        )
+        target, _, _ = scenarios.get("batch-x4-lo").build()
         with pytest.raises(ValueError, match="version"):
             target.restore(stale, pool)
 
-        partitioned, _ = _run_case(
-            "partitioned-broadcast", _fresh_routers(vectors), pool,
-            build_only=True,
-        )
+        partitioned, _, _ = scenarios.get("partitioned-broadcast").build()
         with pytest.raises(ValueError, match="mode"):
             partitioned.restore(snapshot, pool)
 
@@ -244,134 +143,101 @@ class TestMidFlightCheckpoints:
     """A snapshot taken while a migration or a flash refresh is still
     in the event heap must resume byte-identically."""
 
-    def test_mid_migration_checkpoint(self, corpus_and_pool):
-        vectors, pool = corpus_and_pool
-        # The rebalance suite's trigger shape — cluster-routed
-        # (nprobe=1) skewed traffic over a 4×2-cluster partitioned
-        # pool — with glacial migration bandwidth, so a triggered
-        # migration stays in flight long enough for the step scan to
-        # catch it mid-transfer.
-        config = ServingConfig(
-            policy=BatchPolicy(max_batch_size=16, max_wait_s=2e-3),
-            nprobe=1,
+    @staticmethod
+    def _resume_first_caught(scenario, caught, kind):
+        """Stream ``scenario`` until ``caught(frontend)`` holds after an
+        arrival, snapshot there, and resume in a fresh frontend: the
+        report must match an uninterrupted run's."""
+        reference, ref_requests, _ = scenario.run()
+        live, requests, pool = scenario.build()
+        live.stream_begin(pool)
+        live.stream_extend(requests)
+        for request in requests:
+            live.stream_step(request.arrival_s)
+            if caught(live):
+                break
+        else:
+            pytest.fail(
+                f"scan never caught a {kind} checkpoint — the config no "
+                f"longer triggers it, so this edge case is untested"
+            )
+        snapshot = live.snapshot(kind=kind)
+        resumed, _, _ = scenario.build()
+        resumed.restore(snapshot, pool)
+        report = resumed.stream_finish()
+        assert _digest(report, resumed.stream_requests) == _digest(
+            reference, ref_requests
+        )
+
+    @staticmethod
+    def _pending(frontend, event_type):
+        return any(
+            isinstance(entry[-1], event_type) for entry in frontend._loop._heap
+        )
+
+    def test_mid_migration_checkpoint(self):
+        # The rebalance suite's skewed cell with glacial migration
+        # bandwidth, so a triggered migration stays in flight long
+        # enough for the step scan to catch it mid-transfer.
+        scenario = scenarios.get("skewed-partitioned").variant(
             rebalance=RebalancePolicy(
                 interval_s=2e-3, skew_threshold=0.05,
                 min_window_queries=1, migration_gbps=1e-3,
+            )
+        )
+        self._resume_first_caught(
+            scenario,
+            lambda f: (
+                self._pending(f, DataMovement) or f.rebalancer._inflight
             ),
-            **_BATCH_CFG,
+            "mid-migration",
         )
 
-        def factory():
-            return build_router(
-                vectors, num_shards=4, config=NDSearchConfig.scaled(),
-                mode=PARTITIONED, seed=35, clusters_per_shard=2,
-            )
-
-        ref_requests = _poisson_stream(rate=16000.0, zipf=1.2)
-        reference = ServingFrontend(factory(), config).run(
-            ref_requests, pool
-        )
-
-        live = ServingFrontend(factory(), config)
-        requests = _poisson_stream(rate=16000.0, zipf=1.2)
-        live.stream_begin(pool)
-        live.stream_extend(requests)
-        snapshot = None
-        for request in requests:
-            live.stream_step(request.arrival_s)
-            in_heap = any(
-                isinstance(entry[-1], DataMovement)
-                for entry in live._loop._heap
-            )
-            if in_heap or live.rebalancer._inflight:
-                snapshot = live.snapshot(kind="mid-migration")
-                break
-        assert snapshot is not None, (
-            "scan never caught an in-flight migration — the config no "
-            "longer triggers rebalancing, so this edge case is untested"
-        )
-
-        resumed = ServingFrontend(factory(), config)
-        resumed.restore(snapshot, pool)
-        report = resumed.stream_finish()
-        assert _digest(report, resumed.stream_requests) == _digest(
-            reference, ref_requests
-        )
-
-    def test_mid_flash_maintenance_checkpoint(self, corpus_and_pool):
-        vectors, pool = corpus_and_pool
-        # The serving-flash test preset: a disturb threshold low enough
-        # that refreshes fire at benchmark request counts.
-        config = ServingConfig(
-            policy=_policy(),
+    def test_mid_flash_maintenance_checkpoint(self):
+        # A replicated x2 pool under Zipfian load with the serving-flash
+        # test preset: a disturb threshold low enough that refreshes
+        # fire at benchmark request counts.
+        scenario = scenarios.get("batch-x4-lo").variant(
+            shards=2,
+            arrivals=PoissonArrivals(2000.0),
+            zipf=1.1,
             flash=FlashConfig(
                 read_disturb_threshold=200, ecc_hard_failure_prob=0.05
             ),
-            **_BATCH_CFG,
         )
-
-        def factory():
-            return build_router(
-                vectors, num_shards=2, config=NDSearchConfig.scaled()
-            )
-
-        ref_requests = _poisson_stream(zipf=1.1)
-        reference = ServingFrontend(factory(), config).run(
-            ref_requests, pool
-        )
-
-        live = ServingFrontend(factory(), config)
-        requests = _poisson_stream(zipf=1.1)
-        live.stream_begin(pool)
-        live.stream_extend(requests)
-        snapshot = None
-        for request in requests:
-            live.stream_step(request.arrival_s)
-            if any(
-                isinstance(entry[-1], FlashMaintenance)
-                for entry in live._loop._heap
-            ):
-                snapshot = live.snapshot(kind="mid-maintenance")
-                break
-        assert snapshot is not None, (
-            "scan never caught a pending FlashMaintenance — the flash "
-            "config no longer refreshes, so this edge case is untested"
-        )
-
-        resumed = ServingFrontend(factory(), config)
-        resumed.restore(snapshot, pool)
-        report = resumed.stream_finish()
-        assert _digest(report, resumed.stream_requests) == _digest(
-            reference, ref_requests
+        self._resume_first_caught(
+            scenario,
+            lambda f: self._pending(f, FlashMaintenance),
+            "mid-maintenance",
         )
 
 
 # ---- the digital twin ----------------------------------------------------
 
+#: The replicated x4 pool under the partitioned cells' 2,000 QPS stream.
+TWIN_CELL = scenarios.get("batch-x4-lo").variant(
+    arrivals=PoissonArrivals(2000.0)
+)
+
+
 @pytest.fixture(scope="module")
-def twin_run(corpus_and_pool):
+def twin_run():
     """One shared twin session over the replicated x4 pool: feed,
     advance, two null what-ifs, a scratch fallback, then finish."""
-    vectors, pool = corpus_and_pool
-    config = ServingConfig(policy=_policy(), **_BATCH_CFG)
-
-    def factory():
-        return build_router(
-            vectors, num_shards=4, config=NDSearchConfig.scaled()
-        )
-
+    _, pool = TWIN_CELL.deployment.dataset()
     tracer = SpanTracer()
-    twin = ServingTwin(factory, config, pool, window_s=0.05, tracer=tracer)
-    requests = _poisson_stream()
+    twin = ServingTwin(
+        TWIN_CELL.deployment.router, TWIN_CELL.config, pool, window_s=0.05,
+        tracer=tracer,
+    )
+    requests = TWIN_CELL.requests()
     twin.feed(requests)
     checkpoints = twin.advance(requests[-1].arrival_s)
     null_first = twin.whatif()
     null_second = twin.whatif()
     hits_after_nulls = twin.cache.hits
     scratch = twin.whatif(last_windows=checkpoints + 5)
-    reference = ServingFrontend(factory(), config).run(
-        _poisson_stream(), pool
-    )
+    reference, _, _ = TWIN_CELL.run()
     base = twin.finish()
     return SimpleNamespace(
         twin=twin, tracer=tracer, checkpoints=checkpoints,
@@ -435,29 +301,16 @@ class TestServingTwin:
         assert "twin.restore" in names
         assert "twin.cache_hit" in names
 
-    def test_whatif_deltas_change_the_answer(
-        self, twin_run, corpus_and_pool
-    ):
+    def test_whatif_deltas_change_the_answer(self, twin_run):
         grown = twin_run.twin.whatif(add_replicas=2)
         assert _report_bytes(grown) != _report_bytes(twin_run.null_first)
         assert len(grown.shard_utilization) == 6
         assert grown.twin is None
 
-    def test_whatif_validations(self, corpus_and_pool):
-        vectors, pool = corpus_and_pool
-
-        def replicated():
-            return build_router(
-                vectors, num_shards=2, config=NDSearchConfig.scaled()
-            )
-
-        def partitioned():
-            return build_router(
-                vectors, num_shards=4, config=NDSearchConfig.scaled(),
-                mode=PARTITIONED, seed=35,
-            )
-
-        config = ServingConfig(policy=_policy(), **_BATCH_CFG)
+    def test_whatif_validations(self):
+        _, pool = TWIN_CELL.deployment.dataset()
+        replicated = TWIN_CELL.deployment.router
+        config = TWIN_CELL.config
         with pytest.raises(ValueError, match="window_s"):
             ServingTwin(replicated, config, pool, window_s=0.0)
 
@@ -465,25 +318,26 @@ class TestServingTwin:
         with pytest.raises(ValueError, match="last_windows"):
             twin.whatif(last_windows=0)
 
-        part_twin = ServingTwin(partitioned, config, pool, window_s=0.05)
+        partitioned = scenarios.get("partitioned-broadcast").deployment
+        part_twin = ServingTwin(
+            partitioned.router, config, pool, window_s=0.05
+        )
         with pytest.raises(ValueError, match="replicated"):
             part_twin.whatif(add_replicas=1)
 
-        scaled_config = ServingConfig(
-            policy=_policy(),
-            autoscale=AutoscalePolicy(
+        scaled_config = dataclasses.replace(
+            config, autoscale=AutoscalePolicy(
                 min_replicas=1, max_replicas=4, interval_s=2e-3,
                 high_utilization=0.7, high_queue_depth=8.0,
             ),
-            **_BATCH_CFG,
         )
         scaled = ServingTwin(replicated, scaled_config, pool, window_s=0.05)
         with pytest.raises(ValueError, match="autoscaler"):
             scaled.whatif(add_replicas=1)
 
-    def test_cache_key_covers_the_causal_inputs(self, corpus_and_pool):
-        config = ServingConfig(policy=_policy(), **_BATCH_CFG)
-        suffix = _poisson_stream()[:5]
+    def test_cache_key_covers_the_causal_inputs(self):
+        config = TWIN_CELL.config
+        suffix = TWIN_CELL.requests()[:5]
         base = TwinCache.key(config, "d" * 64, 3, suffix)
         assert TwinCache.key(config, "d" * 64, 3, suffix) == base
         other_config = dataclasses.replace(config, nprobe=1)
@@ -493,8 +347,8 @@ class TestServingTwin:
         assert TwinCache.key(config, "d" * 64, 3, suffix[:-1]) != base
 
     def test_config_digest_is_repr_stable(self):
-        a = ServingConfig(policy=_policy(), **_BATCH_CFG)
-        b = ServingConfig(policy=_policy(), **_BATCH_CFG)
+        a = TWIN_CELL.config
+        b = dataclasses.replace(a, policy=dataclasses.replace(a.policy))
         assert config_digest(a) == config_digest(b)
         assert config_digest(a) != config_digest(
             dataclasses.replace(a, nprobe=2)
@@ -507,26 +361,19 @@ MAX_REPLAY_FRACTION = 1 / 5
 
 
 class TestIncrementalReplay:
-    def test_null_whatif_replays_only_the_final_window(
-        self, corpus_and_pool, monkeypatch
-    ):
+    def test_null_whatif_replays_only_the_final_window(self, monkeypatch):
         # Partitioned x4 at nprobe=1, 800 requests at 20k/s, a
         # checkpoint every 2 ms: a null what-if restores the last
         # checkpoint and re-simulates only the events after it.
-        vectors, pool = corpus_and_pool
-        config = ServingConfig(policy=_policy(), nprobe=1, **_BATCH_CFG)
-
-        def factory():
-            return build_router(
-                vectors, num_shards=4, config=NDSearchConfig.scaled(),
-                mode=PARTITIONED, seed=35,
-            )
-
-        twin = ServingTwin(factory, config, pool, window_s=2e-3, calibrate_k=K)
-        requests = QueryStream(
-            PoissonArrivals(20000.0), pool_size=POOL, n_requests=800, k=K,
-            seed=STREAM_SEED,
-        ).generate()
+        scenario = scenarios.get("partitioned-nprobe1").variant(
+            arrivals=PoissonArrivals(20000.0), requests=800
+        )
+        _, pool = scenario.deployment.dataset()
+        twin = ServingTwin(
+            scenario.deployment.router, scenario.config, pool,
+            window_s=2e-3, calibrate_k=scenario.stream.k,
+        )
+        requests = scenario.requests()
         twin.feed(requests)
         twin.advance(requests[-1].arrival_s)
         twin.finish()
