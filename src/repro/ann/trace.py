@@ -16,6 +16,7 @@ model.  We formalise that record here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -94,13 +95,21 @@ def remap_trace(trace: SearchTrace, new_id: np.ndarray) -> SearchTrace:
     ``new_id[old] = new``.
     """
     remapped = SearchTrace(query_id=trace.query_id)
-    for it in trace.iterations:
-        remapped.iterations.append(
-            IterationRecord(
-                entry=int(new_id[it.entry]),
-                computed=tuple(int(new_id[c]) for c in it.computed),
-            )
+    iterations = trace.iterations
+    entries = new_id[[it.entry for it in iterations]].tolist()
+    lengths = [len(it.computed) for it in iterations]
+    computed = new_id[
+        np.fromiter(
+            chain.from_iterable(it.computed for it in iterations),
+            dtype=np.int64, count=sum(lengths),
         )
+    ].tolist()
+    pos = 0
+    for entry, n in zip(entries, lengths):
+        remapped.iterations.append(
+            IterationRecord(entry=entry, computed=tuple(computed[pos : pos + n]))
+        )
+        pos += n
     if trace.result_ids is not None:
         remapped.result_ids = new_id[trace.result_ids]
         remapped.result_distances = trace.result_distances

@@ -30,38 +30,12 @@ from repro.ann.trace import SearchTrace, remap_trace
 from repro.core.config import NDSearchConfig
 from repro.core.placement import map_vertices
 from repro.core.processing_model import NDPProcessingModel
-from repro.core.searssd import SearSSDDevice, SearSSDModel
-from repro.core.speculative import select_speculative_candidates
+from repro.core.searssd import SearSSDDevice, SearSSDModel, cache_put
+from repro.core.speculative import precompute_speculative_sets
 from repro.core.static_scheduling import degree_ascending_bfs, random_bfs
 from repro.flash.ecc import LDPCModel
 from repro.sim.energy import EnergyModel
 from repro.sim.stats import SimResult
-
-
-def precompute_speculative_sets(
-    traces: list[SearchTrace], graph: ProximityGraph, width: int
-) -> list[list[np.ndarray]]:
-    """Per-query, per-iteration speculative candidate sets.
-
-    ``sets[q][i]`` is what the Pref Unit would prefetch during query
-    ``q``'s iteration ``i`` (second-order neighbors of that iteration's
-    computed vertices, ranked by connectivity back into the set).
-    Depends only on the graph and traces, so experiments compute it
-    once and reuse it across scheduling-flag configurations.
-    """
-    out: list[list[np.ndarray]] = []
-    for trace in traces:
-        per_iter: list[np.ndarray] = []
-        for record in trace.iterations:
-            first_order = np.asarray(record.computed, dtype=np.int64)
-            if first_order.size == 0:
-                per_iter.append(np.empty(0, dtype=np.int64))
-                continue
-            per_iter.append(
-                select_speculative_candidates(graph, first_order, width)
-            )
-        out.append(per_iter)
-    return out
 
 
 @dataclass
@@ -167,32 +141,44 @@ class NDSearch:
         )
         return ids, dists, result
 
-    def _resolve_trace(self, trace: SearchTrace):
-        """Remap + speculative sets for one trace, cached by identity.
+    def _resolve_traces(self, traces: list[SearchTrace]) -> list[tuple]:
+        """Remap + speculative sets for every trace, cached by identity.
 
         Per-query derivations (ID remapping, speculative candidate
         selection) depend only on the single trace and the immutable
         graph/config, never on batch composition — so a trace that
         recurs across batches (the serving layer memoizes per-query
-        searches) resolves once.  The entry pins the trace object, so a
+        searches) resolves once.  Every entry is looked up first; the
+        misses (each trace object once, however often it appears in
+        the batch) are then remapped and get their speculative sets
+        from one batched pass.  The entry pins the trace object, so a
         keyed id cannot be recycled onto a different object while the
         entry lives; the ``is`` check makes a stale hit impossible
         either way.  Returning the *same* remapped trace and spec list
         on every hit also lets the SearSSD model reuse its compiled
         replay of the trace.
         """
-        entry = self._trace_cache.get(id(trace))  # repro-lint: disable=DET001 -- trace pinned in entry
-        if entry is None or entry[0] is not trace:
-            remapped = remap_trace(trace, self.new_id)
-            spec = None
-            if self.config.flags.speculative:
-                spec = precompute_speculative_sets(
-                    [remapped], self.graph, self.config.speculative_width
-                )[0]
-            if len(self._trace_cache) >= 8192:
-                self._trace_cache.pop(next(iter(self._trace_cache)))
-            entry = self._trace_cache[id(trace)] = (trace, remapped, spec)  # repro-lint: disable=DET001
-        return entry
+        cache = self._trace_cache
+        keys = [id(t) for t in traces]  # repro-lint: disable=DET001 -- trace pinned in entry
+        entries = [cache.get(k) for k in keys]
+        misses = {
+            k: t
+            for k, t, e in zip(keys, traces, entries)
+            if e is None or e[0] is not t
+        }
+        if not misses:
+            return entries
+        fresh = list(misses.values())
+        remapped = [remap_trace(t, self.new_id) for t in fresh]
+        specs: list = [None] * len(fresh)
+        if self.config.flags.speculative:
+            specs = precompute_speculative_sets(
+                remapped, self.graph, self.config.speculative_width
+            )
+        for k, t, r, spec in zip(list(misses), fresh, remapped, specs):
+            misses[k] = (t, r, spec)
+            cache_put(cache, k, misses[k])
+        return [misses.get(k, e) for k, e in zip(keys, entries)]
 
     def simulate_traces(
         self,
@@ -201,7 +187,7 @@ class NDSearch:
         algorithm: str = "hnsw",
     ) -> SimResult:
         """Replay pre-recorded traces on the SearSSD timing model."""
-        resolved = [self._resolve_trace(t) for t in traces]
+        resolved = self._resolve_traces(traces)
         remapped = [e[1] for e in resolved]
         spec_sets = (
             [e[2] for e in resolved] if self.config.flags.speculative else None

@@ -30,6 +30,7 @@ from repro.core.config import NDSearchConfig
 from repro.core.luncsr import LUNCSR
 from repro.core.placement import VertexPlacement, map_vertices
 from repro.core.sin import LunAccelerator, SiNEngine
+from repro.core.speculative import TRACE_CHUNK, computed_segments
 from repro.core.vgenerator import Vgenerator
 from repro.flash.ecc import LDPCModel
 from repro.flash.geometry import PhysicalAddress
@@ -113,22 +114,43 @@ class SearSSDDevice:
 # =============================================================================
 # Timing simulator
 # =============================================================================
+#: Entries kept by each id-keyed per-trace cache (oldest evicted first).
+TRACE_CACHE_CAP = 8192
+
+
+def cache_put(cache: dict, key: int, entry) -> None:
+    """Insert ``entry`` under ``key`` in a per-trace cache.
+
+    A stale entry already under ``key`` is replaced in place of an
+    eviction; the oldest entry is evicted only to make room for a new
+    key in a full cache.
+    """
+    if cache.pop(key, None) is None and len(cache) >= TRACE_CACHE_CAP:
+        cache.pop(next(iter(cache)))
+    cache[key] = entry
+
+
 class _CompiledTrace:
     """One trace's replay, pre-resolved to per-round LUN work.
 
     Everything about a single query's rounds — speculative hits, cache
     hits, per-LUN page keys, load/merge counts, the spec-prefetch
     contribution — is a pure function of the trace content, the
-    speculative sets and the (immutable) model configuration, so it is
-    computed once per trace and reused across every batch the trace
-    appears in.  Only the cross-query aggregation (LUN pooling under
-    dynamic allocation, the ECC fault stream, stage timing) remains
-    batch-coupled and is redone per sub-batch.
+    speculative sets and the (immutable) model configuration.  It is
+    compiled on a trace's first appearance, together with every other
+    cache-missing trace of the same :meth:`SearSSDModel.run_batch`
+    call (see :meth:`SearSSDModel._compile_traces`), and reused across
+    every later batch the trace appears in.  Only the cross-query
+    aggregation (LUN pooling under dynamic allocation, the ECC fault
+    stream, stage timing) remains batch-coupled and is redone per
+    sub-batch.
 
     ``rounds[r]`` is ``(had_computed, pairs, hits, n_cached, groups,
     spec_count, spec_keys, spec_loads, spec_merged)`` where ``groups``
     is a tuple of ``(lun, raw_count, unique_keys, loads, merged)`` in
-    ascending LUN order.
+    ascending LUN order and ``spec_keys`` holds the distinct page keys
+    the round prefetches, ascending (``None`` when it prefetches
+    nothing).
     """
 
     __slots__ = ("trace", "spec", "rounds", "n_rounds", "trace_length")
@@ -178,12 +200,6 @@ class SearSSDModel:
         self._compiled: dict[int, _CompiledTrace] = {}
 
     # ---- helpers ---------------------------------------------------------------
-    def _page_keys(self, vertices: np.ndarray) -> np.ndarray:
-        return self.placement.page_keys(vertices)
-
-    def _lun_of_keys(self, keys: np.ndarray) -> np.ndarray:
-        return keys // self._lun_span
-
     def _loads_and_merges(self, keys: np.ndarray) -> tuple[int, int]:
         """Distinct page senses and multi-plane merge count for keys.
 
@@ -252,85 +268,176 @@ class SearSSDModel:
         traces: list[SearchTrace],
         speculative_sets: list[list[np.ndarray]] | None,
     ) -> list[_CompiledTrace]:
-        """Resolve every trace to its compiled replay (cached)."""
-        out: list[_CompiledTrace] = []
+        """Resolve every trace to its compiled replay.
+
+        Every entry is looked up first; the misses (each (trace, spec
+        list) pair once, however often it appears in the batch) then
+        compile together in one batched pass.
+        """
         cache = self._compiled
-        for i, trace in enumerate(traces):
-            spec = speculative_sets[i] if speculative_sets is not None else None
-            entry = cache.get(id(trace))  # repro-lint: disable=DET001 -- trace pinned in entry
-            if entry is None or entry.trace is not trace or entry.spec is not spec:
-                entry = self._compile_trace(trace, spec)
-                if len(cache) >= 8192:
-                    cache.pop(next(iter(cache)))
-                cache[id(trace)] = entry  # repro-lint: disable=DET001 -- trace pinned in entry
-            out.append(entry)
+        keys = [id(t) for t in traces]  # repro-lint: disable=DET001 -- trace pinned in entry
+        specs = (
+            speculative_sets if speculative_sets is not None
+            else [None] * len(traces)
+        )
+        out: list = []
+        todo: list[tuple] = []
+        pending: dict[int, int] = {}
+        for k, trace, spec in zip(keys, traces, specs):
+            entry = cache.get(k)
+            if entry is not None and entry.trace is trace and entry.spec is spec:
+                out.append(entry)
+                continue
+            j = pending.get(k)
+            if j is None or todo[j][2] is not spec:
+                j = pending[k] = len(todo)
+                todo.append((k, trace, spec))
+            out.append(j)
+        if not todo:
+            return out
+        fresh = self._compile_traces([(t, spec) for _, t, spec in todo])
+        for (k, _, _), entry in zip(todo, fresh):
+            cache_put(cache, k, entry)
+        return [fresh[e] if isinstance(e, int) else e for e in out]
+
+    def _compile_traces(
+        self, pairs: list[tuple[SearchTrace, list[np.ndarray] | None]]
+    ) -> list[_CompiledTrace]:
+        """Compile ``(trace, spec list)`` pairs, :data:`TRACE_CHUNK` at a time."""
+        out: list[_CompiledTrace] = []
+        for start in range(0, len(pairs), TRACE_CHUNK):
+            out.extend(self._compile_chunk(pairs[start : start + TRACE_CHUNK]))
         return out
 
-    def _compile_trace(
-        self, trace: SearchTrace, spec: list[np.ndarray] | None
-    ) -> _CompiledTrace:
-        """Pre-resolve one trace's rounds to per-LUN demand work."""
+    def _group_loads_merges(
+        self, composite: np.ndarray, span: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Loads and multi-plane merges per group of composite page keys.
+
+        ``composite`` is sorted and distinct, and its group is
+        ``composite // span``.  Returns the distinct groups, the start
+        of each group's run in ``composite``, its loads (run length) and
+        its merges (loads minus distinct plane-stripped keys).  Plane
+        stripping never crosses a group: groups are whole LUNs or
+        whole segments.
+        """
+        group = composite // span
+        edge = np.empty(group.size, dtype=bool)
+        edge[:1] = True
+        np.not_equal(group[1:], group[:-1], out=edge[1:])
+        starts = np.flatnonzero(edge)
+        loads = np.diff(starts, append=group.size)
+        plane = (composite // self._plane_span) % self.config.geometry.planes_per_lun
+        stripped = np.unique(composite - plane * self._plane_span)
+        _, distinct = np.unique(stripped // span, return_counts=True)
+        return group[starts], starts, loads, loads - distinct
+
+    def _compile_chunk(
+        self, pairs: list[tuple[SearchTrace, list[np.ndarray] | None]]
+    ) -> list[_CompiledTrace]:
+        """Compile a few traces in one vectorised pass over all their rounds.
+
+        Every round of every trace is a *segment*.  Speculative hits
+        and DRAM-cache hits are one membership test each; the demand
+        and prefetch page keys come from one ``page_keys`` call; one
+        sort of ``segment * key_space + page key`` then yields, from
+        run boundaries, every round's per-LUN raw counts, distinct
+        keys, loads and merges, and a second sort does the same for the
+        prefetches.  All outputs are integers or sorted integer arrays,
+        so this is exactly the per-round ``np.unique`` computation.
+        """
         flags = self.config.flags
-        n_iter = trace.num_iterations
-        rounds = []
-        for r in range(n_iter):
-            computed = np.asarray(trace.iterations[r].computed, dtype=np.int64)
-            had_computed = computed.size > 0
-            hits = 0
-            n_cached = 0
-            if had_computed:
-                # Speculative hits: vertices the previous round's
-                # overlap window already computed.
-                if flags.speculative and spec is not None and r >= 1:
-                    if r - 1 < len(spec) and spec[r - 1].size:
-                        mask = np.isin(computed, spec[r - 1])
-                        hits = int(np.count_nonzero(mask))
-                        if hits:
-                            computed = computed[~mask]
-                # Internal-DRAM cache (DiskANN hot vertices).
-                if self._cached_arr is not None and computed.size:
-                    mask = np.isin(computed, self._cached_arr)
-                    n_cached = int(np.count_nonzero(mask))
-                    if n_cached:
-                        computed = computed[~mask]
-            pairs = int(computed.size)
-            groups: tuple = ()
-            if computed.size:
-                keys = self._page_keys(computed)
-                luns = self._lun_of_keys(keys)
-                group_list = []
-                for lun in np.unique(luns):
-                    lun_keys = keys[luns == lun]
-                    uniq = np.unique(lun_keys)
-                    loads, merged = self._loads_and_merges(uniq)
-                    group_list.append(
-                        (int(lun), int(lun_keys.size), uniq, loads, merged)
-                    )
-                groups = tuple(group_list)
-            # This round's prefetch contribution (overlaps the next
-            # round's scheduling window; nothing on the last round).
-            # spec_loads/spec_merged pre-resolve the common case of a
-            # single query prefetching in a round; multi-query rounds
-            # must still pool the keys at batch time.
-            spec_count = 0
-            spec_keys = None
-            spec_loads = 0
-            spec_merged = 0
-            if (
-                flags.speculative
-                and spec is not None
-                and r < n_iter - 1
-                and r < len(spec)
-                and spec[r].size
-            ):
-                spec_count = int(spec[r].size)
-                spec_keys = self._page_keys(spec[r])
-                spec_loads, spec_merged = self._loads_and_merges(spec_keys)
-            rounds.append(
-                (had_computed, pairs, hits, n_cached, groups,
-                 spec_count, spec_keys, spec_loads, spec_merged)
+        n_luns = self.config.geometry.total_luns
+        key_space = n_luns * self._lun_span
+        lengths, vertices = computed_segments([t for t, _ in pairs])
+        n_seg = len(lengths)
+        seg = np.repeat(np.arange(n_seg, dtype=np.int64), lengths)
+        # Round r's prefetch set spec[r] exists only while a round r+1
+        # follows (r < n_iter - 1): it prefetches in segment base + r
+        # and can hit in segment base + r + 1.
+        spec_parts: list[np.ndarray] = []
+        spec_at: list[int] = []
+        base = 0
+        for trace, spec in pairs:
+            if flags.speculative and spec is not None:
+                for r in range(min(len(spec), trace.num_iterations - 1)):
+                    if spec[r].size:
+                        spec_parts.append(spec[r])
+                        spec_at.append(base + r)
+            base += trace.num_iterations
+        hits = n_cached = [0] * n_seg
+        if spec_parts:
+            spec_v = np.concatenate(spec_parts).astype(np.int64, copy=False)
+            spec_seg = np.repeat(
+                np.asarray(spec_at, dtype=np.int64),
+                [part.size for part in spec_parts],
             )
-        return _CompiledTrace(trace, spec, tuple(rounds))
+            stride = int(max(vertices.max(initial=0), spec_v.max())) + 1
+            hit = np.isin(seg * stride + vertices, (spec_seg + 1) * stride + spec_v)
+            hits = np.bincount(seg[hit], minlength=n_seg).tolist()
+            seg, vertices = seg[~hit], vertices[~hit]
+        else:
+            spec_v = spec_seg = np.empty(0, dtype=np.int64)
+        # Internal-DRAM cache (DiskANN hot vertices).
+        if self._cached_arr is not None and vertices.size:
+            cached = np.isin(vertices, self._cached_arr)
+            n_cached = np.bincount(seg[cached], minlength=n_seg).tolist()
+            seg, vertices = seg[~cached], vertices[~cached]
+        pairs_per_seg = np.bincount(seg, minlength=n_seg).tolist()
+        keys = self.placement.page_keys(np.concatenate([vertices, spec_v]))
+
+        # Demand: groups are (segment, LUN) = composite // lun_span.
+        composite, raw = np.unique(
+            seg * key_space + keys[: vertices.size], return_counts=True
+        )
+        group, starts, loads, merged = self._group_loads_merges(
+            composite, self._lun_span
+        )
+        unique_keys = composite % key_space
+        ends = np.append(starts[1:], composite.size).tolist()
+        group_tuples = list(
+            zip(
+                (group % n_luns).tolist(),
+                np.add.reduceat(raw, starts).tolist() if raw.size else [],
+                (unique_keys[a:b] for a, b in zip(starts.tolist(), ends)),
+                loads.tolist(),
+                merged.tolist(),
+            )
+        )
+        bounds = np.searchsorted(group // n_luns, np.arange(n_seg + 1)).tolist()
+        groups = [
+            tuple(group_tuples[bounds[s] : bounds[s + 1]]) for s in range(n_seg)
+        ]
+
+        # Prefetch: groups are segments = composite // key_space.  The
+        # loads/merges pre-resolve a round where one query prefetches;
+        # multi-query rounds still pool the keys at batch time.
+        spec_round: list[tuple] = [(0, None, 0, 0)] * n_seg
+        if spec_v.size:
+            spec_count = np.bincount(spec_seg, minlength=n_seg).tolist()
+            composite = np.unique(spec_seg * key_space + keys[vertices.size :])
+            group, starts, loads, merged = self._group_loads_merges(
+                composite, key_space
+            )
+            spec_keys = composite % key_space
+            ends = np.append(starts[1:], composite.size).tolist()
+            for s, a, b, n_load, n_merge in zip(
+                group.tolist(), starts.tolist(), ends,
+                loads.tolist(), merged.tolist(),
+            ):
+                spec_round[s] = (spec_count[s], spec_keys[a:b], n_load, n_merge)
+
+        out: list[_CompiledTrace] = []
+        base = 0
+        for trace, spec in pairs:
+            rounds = tuple(
+                (lengths[s] > 0, pairs_per_seg[s], hits[s], n_cached[s], groups[s])
+                + spec_round[s]
+                for s in range(base, base + trace.num_iterations)
+            )
+            out.append(_CompiledTrace(trace, spec, rounds))
+            base += trace.num_iterations
+        return out
 
     # ---- one sub-batch ---------------------------------------------------------------
     def _run_sub_batch(

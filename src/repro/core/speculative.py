@@ -19,9 +19,34 @@ under ``da+sp``) yet the overlap still nets up to 1.27x speedup.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from repro.ann.graph import ProximityGraph
+from repro.ann.trace import SearchTrace
+
+#: Traces resolved per vectorised pass.  A batch-wide pass allocates
+#: gather temporaries proportional to the whole batch; fixed chunks cap
+#: that peak at a small, batch-independent size (perfbench offline-fresh
+#: on a 2-core host: 98 MB peak RSS against 112 MB unchunked, and no
+#: slower).
+TRACE_CHUNK = 16
+
+
+def computed_segments(traces: list[SearchTrace]) -> tuple[list[int], np.ndarray]:
+    """Every (trace, iteration) of ``traces`` as one flat segment array.
+
+    Segment ``s`` is the ``s``-th iteration in trace-major order.
+    Returns each segment's ``computed`` length and all computed vertex
+    IDs concatenated in segment order.
+    """
+    records = [it.computed for trace in traces for it in trace.iterations]
+    lengths = [len(c) for c in records]
+    flat = np.fromiter(
+        chain.from_iterable(records), dtype=np.int64, count=sum(lengths)
+    )
+    return lengths, flat
 
 
 def select_speculative_candidates(
@@ -72,6 +97,95 @@ def select_speculative_candidates(
     # Rank by (-count, id): lexsort keys run least-significant first.
     order = np.lexsort((ids, -counts))
     return ids[order[:width]]
+
+
+def precompute_speculative_sets(
+    traces: list[SearchTrace], graph: ProximityGraph, width: int
+) -> list[list[np.ndarray]]:
+    """Per-query, per-iteration speculative candidate sets.
+
+    ``sets[q][i]`` is what the Pref Unit would prefetch during query
+    ``q``'s iteration ``i``: exactly
+    ``select_speculative_candidates(graph, computed, width)`` for that
+    iteration's computed vertices (empty when it computed none).
+    Depends only on the graph and traces, so experiments compute it
+    once and reuse it across scheduling-flag configurations.
+
+    The batched counterpart of :func:`select_speculative_candidates`:
+    traces go through in chunks of :data:`TRACE_CHUNK`, and each chunk
+    is one vectorised pass over all of its (trace, iteration) segments
+    -- one CSR gather, first-order exclusion and candidate count keyed
+    on ``segment * V + vertex``, one ``(segment, -count, id)`` ranking
+    -- cut to the top ``width`` per segment.  Each returned set is a
+    view into that already-cut array, so cached sets pin no candidates
+    beyond their own.
+    """
+    out: list[list[np.ndarray]] = []
+    for start in range(0, len(traces), TRACE_CHUNK):
+        chunk = traces[start : start + TRACE_CHUNK]
+        lengths, flat = computed_segments(chunk)
+        segments = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+        top, bounds = _select_per_segment(
+            graph, segments, flat, len(lengths), width
+        )
+        edges = bounds.tolist()
+        sets = [top[edges[s] : edges[s + 1]] for s in range(len(lengths))]
+        pos = 0
+        for trace in chunk:
+            out.append(sets[pos : pos + trace.num_iterations])
+            pos += trace.num_iterations
+    return out
+
+
+def _select_per_segment(
+    graph: ProximityGraph,
+    segments: np.ndarray,
+    first_order: np.ndarray,
+    n_segments: int,
+    width: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top-``width`` candidates of every segment in one pass.
+
+    ``segments[j]`` names the segment of first-order vertex
+    ``first_order[j]`` (ascending).  Returns the ranked candidates of
+    all segments concatenated, plus ``n_segments + 1`` offsets into it.
+    """
+    if width <= 0 or first_order.size == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, np.zeros(n_segments + 1, dtype=np.int64)
+    stride = graph.num_vertices
+    if first_order.min() < 0 or first_order.max() >= stride:
+        # Would alias into a neighbouring segment's composite keys.
+        raise IndexError("first-order vertex ID outside the graph")
+    first = np.unique(segments * stride + first_order)
+    first_seg = first // stride
+    first_v = first - first_seg * stride
+    starts = graph.indptr[first_v]
+    lengths = graph.indptr[first_v + 1] - starts
+    # One CSR gather for every first-order vertex of every segment.
+    row_ends = np.cumsum(lengths)
+    offsets = np.arange(int(row_ends[-1]), dtype=np.int64)
+    offsets += np.repeat(starts - (row_ends - lengths), lengths)
+    candidates = (
+        np.repeat(first_seg * stride, lengths)
+        + graph.indices[offsets].astype(np.int64)
+    )
+    # Drop candidates already first-order in their own segment.
+    pos = np.searchsorted(first, candidates)
+    pos[pos == first.size] = first.size - 1
+    candidates = candidates[first[pos] != candidates]
+    keys, counts = np.unique(candidates, return_counts=True)
+    seg = keys // stride
+    ids = keys - seg * stride
+    # Rank by (segment, -count, id): lexsort keys run least-significant first.
+    order = np.lexsort((ids, -counts, seg))
+    seg = seg[order]
+    seg_starts = np.searchsorted(seg, np.arange(n_segments + 1))
+    rank = np.arange(seg.size) - seg_starts[seg]
+    keep = rank < width
+    top = ids[order][keep]
+    bounds = np.searchsorted(seg[keep], np.arange(n_segments + 1))
+    return top, bounds
 
 
 def speculative_hits(

@@ -110,7 +110,7 @@ class IdAsKey(Rule):
     The PR 1 bug class: ``id`` values are reused after garbage
     collection, so an ``id()``-keyed cache can serve one object's entry
     to a different object.  The safe repo idiom (``NDSearch
-    ._resolve_trace``) pins the keyed object inside the entry and
+    ._resolve_traces``) pins the keyed object inside the entry and
     identity-checks it on every hit; sites doing that carry a pragma.
     """
 

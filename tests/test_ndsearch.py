@@ -86,3 +86,45 @@ class TestTraceSimulation:
             times.append(nd.simulate_traces(traces).sim_time_s)
         assert times[-1] < times[0]
         assert times[3] <= times[2] * 1.02  # da never hurts
+
+
+class TestTraceCache:
+    def test_overwrite_keeps_unrelated_entries(
+        self, system, small_queries, monkeypatch
+    ):
+        from repro.core import searssd
+
+        monkeypatch.setattr(searssd, "TRACE_CACHE_CAP", 3)
+        _, _, traces = system.index.search_batch(small_queries[:3], 5, ef=24)
+        system.simulate_traces(traces)
+        cache = system._trace_cache
+        assert len(cache) == 3
+        # A stale entry under trace 1's key (as after an id recycle) is
+        # replaced in place; the oldest entry (trace 0) must survive.
+        key = next(k for k, e in cache.items() if e[0] is traces[1])
+        cache[key] = (object(), None, None)
+        system.simulate_traces([traces[1]])
+        assert len(cache) == 3
+        cached = [e[0] for e in cache.values()]
+        assert all(any(c is t for c in cached) for t in traces)
+
+    def test_repeated_trace_resolves_once(
+        self, system, small_queries, monkeypatch
+    ):
+        from repro.core import ndsearch
+
+        remapped = []
+        remap = ndsearch.remap_trace
+
+        def counting(trace, new_id):
+            remapped.append(trace)
+            return remap(trace, new_id)
+
+        monkeypatch.setattr(ndsearch, "remap_trace", counting)
+        _, _, traces = system.index.search_batch(small_queries[:2], 5, ef=24)
+        a, b = traces
+        result = system.simulate_traces([a, b, a, b, a])
+        assert remapped == [a, b]
+        again = system.simulate_traces([a, b, a, b, a])
+        assert remapped == [a, b]
+        assert again.sim_time_s == result.sim_time_s

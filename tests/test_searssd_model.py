@@ -138,3 +138,48 @@ class TestECCInjection:
         assert faulty.counters["ecc_soft_decodes"] > 0
         assert clean.counters["ecc_soft_decodes"] == 0
         assert faulty.sim_time_s > clean.sim_time_s
+
+
+class TestCompiledTraceCache:
+    def _spec(self, trace):
+        return [np.arange(3, dtype=np.int64) for _ in trace.iterations]
+
+    def test_overwrite_keeps_unrelated_entries(self, model, monkeypatch):
+        from repro.core import searssd
+
+        monkeypatch.setattr(searssd, "TRACE_CACHE_CAP", 4)
+        traces = _make_traces(4, 3, 4, 600, seed=6)
+        model.run_batch(traces, speculative_sets=[self._spec(t) for t in traces])
+        assert len(model._compiled) == 4
+        # Trace 2 returns with a fresh spec list: its stale entry is
+        # replaced, and the oldest entry (trace 0) must survive.
+        model.run_batch([traces[2]], speculative_sets=[self._spec(traces[2])])
+        assert len(model._compiled) == 4
+        cached = [e.trace for e in model._compiled.values()]
+        assert all(any(c is t for c in cached) for t in traces)
+
+    def test_full_cache_evicts_oldest_for_new_trace(self, model, monkeypatch):
+        from repro.core import searssd
+
+        monkeypatch.setattr(searssd, "TRACE_CACHE_CAP", 3)
+        traces = _make_traces(4, 3, 4, 600, seed=7)
+        model.run_batch(traces)
+        assert [e.trace for e in model._compiled.values()] == traces[1:]
+
+    def test_repeated_trace_compiles_once(self, model, monkeypatch):
+        compiled_pairs = []
+        compile_traces = model._compile_traces
+
+        def counting(pairs):
+            compiled_pairs.extend(pairs)
+            return compile_traces(pairs)
+
+        monkeypatch.setattr(model, "_compile_traces", counting)
+        a, b = _make_traces(2, 4, 5, 600, seed=8)
+        repeated = model.run_batch([a, b, a, a, b])
+        assert [t for t, _ in compiled_pairs] == [a, b]
+        fresh = SearSSDModel(
+            config=model.config, placement=model.placement, dim=16
+        ).run_batch([a, b, a, a, b])
+        assert repeated.sim_time_s == fresh.sim_time_s
+        assert repeated.counters == fresh.counters

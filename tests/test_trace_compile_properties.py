@@ -1,0 +1,300 @@
+"""The batched trace compile equals the per-trace computation it replaced.
+
+``SearSSDModel._compile_traces`` resolves the rounds of many traces in
+one vectorised pass, and ``precompute_speculative_sets`` selects the
+prefetch sets of every (trace, iteration) in one pass.  Both must give
+exactly what the straightforward per-trace, per-round computation
+gives.  That computation is kept here as the oracle: ``oracle_rounds``
+is the per-trace compile body (one ``np.unique`` per round and LUN),
+and the speculative oracle is ``select_speculative_candidates`` applied
+per iteration.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.ann.graph import ProximityGraph
+from repro.ann.trace import IterationRecord, SearchTrace
+from repro.core.config import HostConfig, NDSearchConfig, SchedulingFlags
+from repro.core.placement import map_vertices
+from repro.core.searssd import SearSSDModel
+from repro.core.speculative import (
+    TRACE_CHUNK,
+    precompute_speculative_sets,
+    select_speculative_candidates,
+)
+from repro.flash.geometry import SSDGeometry
+from repro.flash.timing import FlashTiming
+
+GEOMETRY = SSDGeometry(
+    channels=2, chips_per_channel=2, luns_per_chip=2, planes_per_lun=2,
+    blocks_per_plane=8, pages_per_block=8, page_size=1024,
+)
+
+
+def _model(n, flags, scheme="multiplane", cached=None) -> SearSSDModel:
+    config = NDSearchConfig(
+        geometry=GEOMETRY,
+        timing=FlashTiming(read_page_s=20e-6),
+        host=HostConfig(
+            dram_capacity_bytes=64 * 1024, vram_capacity_bytes=64 * 1024
+        ),
+        flags=flags,
+        dram_bytes=16 * 1024**2,
+    )
+    placement = map_vertices(n, GEOMETRY, 64, scheme=scheme)
+    return SearSSDModel(
+        config=config, placement=placement, dim=16, cached_vertices=cached
+    )
+
+
+def oracle_rounds(model: SearSSDModel, trace: SearchTrace, spec) -> tuple:
+    """One trace's rounds, resolved round by round and LUN by LUN."""
+    flags = model.config.flags
+    n_iter = trace.num_iterations
+    rounds = []
+    for r in range(n_iter):
+        computed = np.asarray(trace.iterations[r].computed, dtype=np.int64)
+        had_computed = computed.size > 0
+        hits = 0
+        n_cached = 0
+        if had_computed:
+            if flags.speculative and spec is not None and r >= 1:
+                if r - 1 < len(spec) and spec[r - 1].size:
+                    mask = np.isin(computed, spec[r - 1])
+                    hits = int(np.count_nonzero(mask))
+                    if hits:
+                        computed = computed[~mask]
+            if model._cached_arr is not None and computed.size:
+                mask = np.isin(computed, model._cached_arr)
+                n_cached = int(np.count_nonzero(mask))
+                if n_cached:
+                    computed = computed[~mask]
+        pairs = int(computed.size)
+        groups: tuple = ()
+        if computed.size:
+            keys = model.placement.page_keys(computed)
+            luns = keys // model._lun_span
+            group_list = []
+            for lun in np.unique(luns):
+                lun_keys = keys[luns == lun]
+                uniq = np.unique(lun_keys)
+                loads, merged = model._loads_and_merges(uniq)
+                group_list.append(
+                    (int(lun), int(lun_keys.size), uniq, loads, merged)
+                )
+            groups = tuple(group_list)
+        spec_count = 0
+        spec_keys = None
+        spec_loads = 0
+        spec_merged = 0
+        if (
+            flags.speculative
+            and spec is not None
+            and r < n_iter - 1
+            and r < len(spec)
+            and spec[r].size
+        ):
+            spec_count = int(spec[r].size)
+            spec_keys = model.placement.page_keys(spec[r])
+            spec_loads, spec_merged = model._loads_and_merges(spec_keys)
+        rounds.append(
+            (had_computed, pairs, hits, n_cached, groups,
+             spec_count, spec_keys, spec_loads, spec_merged)
+        )
+    return tuple(rounds)
+
+
+def assert_rounds_equal(got: tuple, want: tuple) -> None:
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g[0]) is bool and g[0] == w[0]
+        for a, b in zip(g[1:4], w[1:4]):
+            assert type(a) is int and a == b
+        assert len(g[4]) == len(w[4])
+        for (lun, raw, uniq, loads, merged), wg in zip(g[4], w[4]):
+            assert (lun, raw, loads, merged) == (wg[0], wg[1], wg[3], wg[4])
+            assert all(type(x) is int for x in (lun, raw, loads, merged))
+            assert uniq.dtype == np.int64
+            assert np.array_equal(uniq, wg[2])
+        assert g[5] == w[5] and g[7:] == w[7:]
+        assert all(type(x) is int for x in (g[5], g[7], g[8]))
+        if w[6] is None:
+            assert g[6] is None
+        else:
+            # Only the distinct keys matter: prefetches pool by union.
+            assert g[6].dtype == np.int64
+            assert np.array_equal(g[6], np.unique(w[6]))
+
+
+# ---- strategies --------------------------------------------------------------------
+FLAGS = st.builds(
+    SchedulingFlags, st.booleans(), st.booleans(), st.booleans(), st.booleans()
+)
+
+
+@st.composite
+def batches(draw):
+    """A vertex count, traces and matching speculative lists."""
+    n = draw(st.integers(min_value=20, max_value=90))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    traces, specs = [], []
+    for q in range(draw(st.integers(min_value=0, max_value=2 * TRACE_CHUNK + 3))):
+        trace = SearchTrace(query_id=q)
+        for _ in range(draw(st.integers(min_value=0, max_value=6))):
+            computed = draw(st.lists(vertex, max_size=9))
+            trace.iterations.append(
+                IterationRecord(entry=draw(vertex), computed=tuple(computed))
+            )
+        traces.append(trace)
+        n_iter = trace.num_iterations
+        if draw(st.booleans()):
+            length = max(0, n_iter + draw(st.integers(min_value=-2, max_value=1)))
+            specs.append([
+                np.asarray(draw(st.lists(vertex, max_size=6)), dtype=np.int64)
+                for _ in range(length)
+            ])
+        else:
+            specs.append(None)
+    return n, traces, specs
+
+
+@given(
+    batches(),
+    FLAGS,
+    st.sampled_from(["multiplane", "interleaved"]),
+    st.sampled_from(["none", "some", "all"]),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_batched_compile_matches_per_trace_oracle(
+    batch, flags, scheme, cache_mode, data
+):
+    n, traces, specs = batch
+    cached = None
+    if cache_mode == "all":
+        cached = np.arange(n, dtype=np.int64)
+    elif cache_mode == "some":
+        cached = np.asarray(
+            data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)),
+            dtype=np.int64,
+        )
+    model = _model(n, flags, scheme=scheme, cached=cached)
+    compiled = model._compile_traces(list(zip(traces, specs)))
+    assert len(compiled) == len(traces)
+    for comp, trace, spec in zip(compiled, traces, specs):
+        assert comp.trace is trace and comp.spec is spec
+        assert comp.n_rounds == trace.num_iterations
+        assert comp.trace_length == trace.trace_length
+        assert_rounds_equal(comp.rounds, oracle_rounds(model, trace, spec))
+
+
+@given(batches(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_repeated_traces_in_a_batch_match_the_oracle(batch, data):
+    """A batch repeating trace objects resolves every position exactly."""
+    n, traces, specs = batch
+    if not traces:
+        return
+    picks = data.draw(
+        st.lists(st.integers(0, len(traces) - 1), min_size=1, max_size=40)
+    )
+    model = _model(n, SchedulingFlags.all_enabled())
+    batch_traces = [traces[i] for i in picks]
+    batch_specs = [specs[i] for i in picks]
+    compiled = model._compiled_batch(batch_traces, batch_specs)
+    for comp, trace, spec in zip(compiled, batch_traces, batch_specs):
+        assert comp.trace is trace and comp.spec is spec
+        assert_rounds_equal(comp.rounds, oracle_rounds(model, trace, spec))
+
+
+def test_spec_edges_at_first_and_last_round():
+    """No hit is possible in round 0 and no prefetch in the last round."""
+    trace = SearchTrace(query_id=0)
+    for computed in ((1, 2, 3), (4, 5, 6), (7, 8, 9)):
+        trace.iterations.append(IterationRecord(entry=0, computed=computed))
+    everything = np.arange(12, dtype=np.int64)
+    spec = [everything] * 4  # longer than the trace
+    model = _model(12, SchedulingFlags.all_enabled())
+    (comp,) = model._compile_traces([(trace, spec)])
+    want = oracle_rounds(model, trace, spec)
+    assert_rounds_equal(comp.rounds, want)
+    assert [r[2] for r in comp.rounds] == [0, 3, 3]
+    assert [r[5] for r in comp.rounds] == [12, 12, 0]
+    assert comp.rounds[-1][6] is None
+
+
+# ---- speculative sets -------------------------------------------------------------
+@st.composite
+def graphs_and_traces(draw):
+    n = draw(st.integers(min_value=1, max_value=40))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    adjacency = [draw(st.lists(vertex, max_size=7)) for _ in range(n)]
+    graph = ProximityGraph.from_adjacency(
+        np.zeros((n, 2), dtype=np.float32), adjacency
+    )
+    traces = []
+    for q in range(draw(st.integers(min_value=0, max_value=TRACE_CHUNK + 5))):
+        trace = SearchTrace(query_id=q)
+        for _ in range(draw(st.integers(min_value=0, max_value=5))):
+            trace.iterations.append(
+                IterationRecord(
+                    entry=0, computed=tuple(draw(st.lists(vertex, max_size=8)))
+                )
+            )
+        traces.append(trace)
+    return graph, traces
+
+
+@given(graphs_and_traces(), st.integers(min_value=0, max_value=6))
+@settings(max_examples=60, deadline=None)
+def test_speculative_sets_match_per_iteration_selection(case, width):
+    graph, traces = case
+    sets = precompute_speculative_sets(traces, graph, width)
+    assert len(sets) == len(traces)
+    for per_iter, trace in zip(sets, traces):
+        assert len(per_iter) == trace.num_iterations
+        for got, record in zip(per_iter, trace.iterations):
+            first = np.asarray(record.computed, dtype=np.int64)
+            want = (
+                select_speculative_candidates(graph, first, width)
+                if first.size
+                else np.empty(0, dtype=np.int64)
+            )
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+
+
+def test_speculative_sets_do_not_pin_cut_candidates(small_graph):
+    """Each cached set views an array holding only the kept candidates."""
+    trace = SearchTrace(query_id=0)
+    for v in range(0, 40, 4):
+        trace.iterations.append(
+            IterationRecord(entry=v, computed=(v, v + 1, v + 2, v + 3))
+        )
+    (sets,) = precompute_speculative_sets([trace], small_graph, 2)
+    owner = sets[0].base
+    assert owner is not None
+    assert owner.size == sum(s.size for s in sets) <= 2 * len(sets)
+
+
+@pytest.mark.parametrize("width", [0, -1])
+def test_non_positive_width_selects_nothing(small_graph, width):
+    trace = SearchTrace(query_id=0)
+    trace.iterations.append(IterationRecord(entry=0, computed=(1, 2, 3)))
+    trace.iterations.append(IterationRecord(entry=1, computed=()))
+    (sets,) = precompute_speculative_sets([trace], small_graph, width)
+    assert [s.size for s in sets] == [0, 0]
+    assert all(s.dtype == np.int64 for s in sets)
+
+
+def test_out_of_range_vertex_fails_loudly(small_graph):
+    trace = SearchTrace(query_id=0)
+    trace.iterations.append(
+        IterationRecord(entry=0, computed=(small_graph.num_vertices,))
+    )
+    with pytest.raises(IndexError):
+        precompute_speculative_sets([trace], small_graph, 4)
