@@ -67,6 +67,21 @@ class SearchTrace:
         return [it.entry for it in self.iterations]
 
 
+def computed_segments(traces: list[SearchTrace]) -> tuple[list[int], np.ndarray]:
+    """Every (trace, iteration) of ``traces`` as one flat segment array.
+
+    Segment ``s`` is the ``s``-th iteration in trace-major order.
+    Returns each segment's ``computed`` length and all computed vertex
+    IDs concatenated in segment order.
+    """
+    records = [it.computed for trace in traces for it in trace.iterations]
+    lengths = [len(c) for c in records]
+    flat = np.fromiter(
+        chain.from_iterable(records), dtype=np.int64, count=sum(lengths)
+    )
+    return lengths, flat
+
+
 class TraceRecorder:
     """Mutable builder the search kernels feed; one per query."""
 
@@ -97,13 +112,8 @@ def remap_trace(trace: SearchTrace, new_id: np.ndarray) -> SearchTrace:
     remapped = SearchTrace(query_id=trace.query_id)
     iterations = trace.iterations
     entries = new_id[[it.entry for it in iterations]].tolist()
-    lengths = [len(it.computed) for it in iterations]
-    computed = new_id[
-        np.fromiter(
-            chain.from_iterable(it.computed for it in iterations),
-            dtype=np.int64, count=sum(lengths),
-        )
-    ].tolist()
+    lengths, flat = computed_segments([trace])
+    computed = new_id[flat].tolist()
     pos = 0
     for entry, n in zip(entries, lengths):
         remapped.iterations.append(

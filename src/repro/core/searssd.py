@@ -24,13 +24,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ann.graph import ProximityGraph
-from repro.ann.trace import SearchTrace
+from repro.ann.trace import SearchTrace, computed_segments
 from repro.core.allocator import Allocator
 from repro.core.config import NDSearchConfig
 from repro.core.luncsr import LUNCSR
 from repro.core.placement import VertexPlacement, map_vertices
 from repro.core.sin import LunAccelerator, SiNEngine
-from repro.core.speculative import TRACE_CHUNK, computed_segments
+from repro.core.speculative import TRACE_CHUNK
 from repro.core.vgenerator import Vgenerator
 from repro.flash.ecc import LDPCModel
 from repro.flash.geometry import PhysicalAddress

@@ -19,12 +19,10 @@ under ``da+sp``) yet the overlap still nets up to 1.27x speedup.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 from repro.ann.graph import ProximityGraph
-from repro.ann.trace import SearchTrace
+from repro.ann.trace import SearchTrace, computed_segments
 
 #: Traces resolved per vectorised pass.  A batch-wide pass allocates
 #: gather temporaries proportional to the whole batch; fixed chunks cap
@@ -32,21 +30,6 @@ from repro.ann.trace import SearchTrace
 #: on a 2-core host: 98 MB peak RSS against 112 MB unchunked, and no
 #: slower).
 TRACE_CHUNK = 16
-
-
-def computed_segments(traces: list[SearchTrace]) -> tuple[list[int], np.ndarray]:
-    """Every (trace, iteration) of ``traces`` as one flat segment array.
-
-    Segment ``s`` is the ``s``-th iteration in trace-major order.
-    Returns each segment's ``computed`` length and all computed vertex
-    IDs concatenated in segment order.
-    """
-    records = [it.computed for trace in traces for it in trace.iterations]
-    lengths = [len(c) for c in records]
-    flat = np.fromiter(
-        chain.from_iterable(records), dtype=np.int64, count=sum(lengths)
-    )
-    return lengths, flat
 
 
 def select_speculative_candidates(
@@ -117,8 +100,9 @@ def precompute_speculative_sets(
     -- one CSR gather, first-order exclusion and candidate count keyed
     on ``segment * V + vertex``, one ``(segment, -count, id)`` ranking
     -- cut to the top ``width`` per segment.  Each returned set is a
-    view into that already-cut array, so cached sets pin no candidates
-    beyond their own.
+    view into its chunk's already-cut array, so a cached set pins only
+    the kept candidates of at most :data:`TRACE_CHUNK` traces, never a
+    chunk's untruncated candidates.
     """
     out: list[list[np.ndarray]] = []
     for start in range(0, len(traces), TRACE_CHUNK):
