@@ -130,37 +130,97 @@ def cache_put(cache: dict, key: int, entry) -> None:
     cache[key] = entry
 
 
+#: Columns of :attr:`_CompiledTrace.rounds`.
+_ROUND, _HAD, _PAIRS, _HITS, _CACHED, _SPEC = range(6)
+#: Columns of :attr:`_CompiledTrace.groups` (column 0 is the round).
+_LUN, _RAW, _LOADS, _MERGED = range(1, 5)
+
+#: Component busy-time keys of a sub-batch, in reporting order.
+_BUSY_KEYS = (
+    "pcie_host", "vgenerator", "allocator", "nand_read", "channel_bus",
+    "dram", "embedded_cores", "fpga_sort", "sin_macs_busy", "nand_busy",
+    "lun_queues_busy", "ecc_busy",
+)
+#: The per-round engine stages, in booking order.
+_ROUND_STAGES = ("schedule", "search", "gather")
+
+
+def _run_bounds(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in sorted ``keys`` starts, then ``keys.size``."""
+    edge = np.empty(keys.size + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
+    return edge.nonzero()[0]
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of ``keys``, ascending.
+
+    A sort and its run boundaries: on the key arrays pooled per
+    sub-batch this is cheaper than ``np.unique``.
+    """
+    keys = np.sort(keys)
+    return keys[_run_bounds(keys)[:-1]]
+
+
+def _running_sums(terms: np.ndarray) -> np.ndarray:
+    """Left-to-right sums along the last axis, as ``total += term`` books them.
+
+    ``np.cumsum`` accumulates sequentially, unlike the pairwise
+    ``np.sum``, so a row padded with zeros anywhere (``x + 0.0 == x``
+    for the non-negative times summed here) sums bit-identically to its
+    unpadded terms added one at a time from 0.0.
+    """
+    if not terms.shape[-1]:
+        return np.zeros(terms.shape[:-1])
+    return np.cumsum(terms, axis=-1)[..., -1]
+
+
 class _CompiledTrace:
     """One trace's replay, pre-resolved to per-round LUN work.
 
     Everything about a single query's rounds — speculative hits, cache
     hits, per-LUN page keys, load/merge counts, the spec-prefetch
-    contribution — is a pure function of the trace content, the
-    speculative sets and the (immutable) model configuration.  It is
-    compiled on a trace's first appearance, together with every other
-    cache-missing trace of the same :meth:`SearSSDModel.run_batch`
-    call (see :meth:`SearSSDModel._compile_traces`), and reused across
-    every later batch the trace appears in.  Only the cross-query
-    aggregation (LUN pooling under dynamic allocation, the ECC fault
-    stream, stage timing) remains batch-coupled and is redone per
-    sub-batch.
+    keys — is a pure function of the trace content, the speculative
+    sets and the (immutable) model configuration.  It is compiled on a
+    trace's first appearance, together with every other cache-missing
+    trace of the same :meth:`SearSSDModel.run_batch` call (see
+    :meth:`SearSSDModel._compile_traces`), and reused across every
+    later batch the trace appears in.  Only the cross-query aggregation
+    (LUN pooling under dynamic allocation, the ECC fault stream, stage
+    timing) remains batch-coupled and is redone per sub-batch.
 
-    ``rounds[r]`` is ``(had_computed, pairs, hits, n_cached, groups,
-    spec_count, spec_keys, spec_loads, spec_merged)`` where ``groups``
-    is a tuple of ``(lun, raw_count, unique_keys, loads, merged)`` in
-    ascending LUN order and ``spec_keys`` holds the distinct page keys
-    the round prefetches, ascending (``None`` when it prefetches
-    nothing).
+    The layout is flat, four int64 arrays per trace:
+
+    * ``rounds``, ``(n_rounds, 6)``: per round, its index, whether it
+      computed any vertex, the distance pairs left after speculative
+      and DRAM-cache hits, those two hit counts, and how many vertices
+      it prefetches (columns ``_ROUND`` … ``_SPEC``);
+    * ``groups``, ``(n_groups, 5)``: one row per (round, LUN) the trace
+      reads, ordered by round and then LUN: the round, the LUN, its raw
+      vertex count, distinct page loads and multi-plane merges;
+    * ``group_keys`` and ``spec_keys``: the distinct page keys each
+      round reads and prefetches, ascending, flat as
+      ``round * key_space + page key``.
+
+    Each is a view into an array shared by the traces of one compile
+    chunk, so an entry pins at most :data:`TRACE_CHUNK` traces' arrays.
     """
 
-    __slots__ = ("trace", "spec", "rounds", "n_rounds", "trace_length")
+    __slots__ = (
+        "trace", "spec", "n_rounds", "trace_length",
+        "rounds", "groups", "group_keys", "spec_keys",
+    )
 
-    def __init__(self, trace, spec, rounds) -> None:
+    def __init__(self, trace, spec, rounds, groups, group_keys, spec_keys) -> None:
         self.trace = trace
         self.spec = spec
-        self.rounds = rounds
         self.n_rounds = trace.num_iterations
         self.trace_length = trace.trace_length
+        self.rounds = rounds
+        self.groups = groups
+        self.group_keys = group_keys
+        self.spec_keys = spec_keys
 
 
 class SearSSDModel:
@@ -188,6 +248,7 @@ class SearSSDModel:
         g = config.geometry
         self._plane_span = g.blocks_per_plane * g.pages_per_block
         self._lun_span = self._plane_span * g.planes_per_lun
+        self._key_space = g.total_luns * self._lun_span
         self._cached_arr = (
             np.fromiter(sorted(self.cached), dtype=np.int64, count=len(self.cached))
             if self.cached
@@ -198,21 +259,6 @@ class SearSSDModel:
         # recycled onto a different object while the entry lives; the
         # `is` checks on lookup make a stale hit impossible either way.
         self._compiled: dict[int, _CompiledTrace] = {}
-
-    # ---- helpers ---------------------------------------------------------------
-    def _loads_and_merges(self, keys: np.ndarray) -> tuple[int, int]:
-        """Distinct page senses and multi-plane merge count for keys.
-
-        ``merged`` counts pages folded into another plane's sense of
-        the same (block, page): distinct pages minus distinct
-        plane-stripped pages.
-        """
-        unique = np.unique(keys)
-        loads = int(unique.size)
-        plane = (unique // self._plane_span) % self.config.geometry.planes_per_lun
-        without_plane = unique - plane * self._plane_span
-        merged = loads - int(np.unique(without_plane).size)
-        return loads, merged
 
     # ---- main entry ----------------------------------------------------------------
     def run_batch(
@@ -233,19 +279,19 @@ class SearSSDModel:
         timeline: list[PhaseSegment] = []
         makespan = 0.0
         compiled = self._compiled_batch(traces, speculative_sets)
-        spec_enabled = speculative_sets is not None
         for start in range(0, batch, capacity):
-            sub = compiled[start : start + capacity]
-            t, c, b, segments = self._run_sub_batch(sub, spec_enabled)
-            # Sub-batch segments are relative to the sub-batch's own
-            # start; shift them onto the batch clock.
-            timeline.extend(
-                PhaseSegment(
-                    s.stage, s.start + makespan, s.end + makespan,
-                    resource=s.resource,
-                )
-                for s in segments
-            )
+            t, c, b, segments = self._run_sub_batch(compiled[start : start + capacity])
+            if makespan:
+                # Sub-batch segments are relative to the sub-batch's own
+                # start; shift later sub-batches onto the batch clock.
+                segments = [
+                    PhaseSegment(
+                        s.stage, s.start + makespan, s.end + makespan,
+                        resource=s.resource,
+                    )
+                    for s in segments
+                ]
+            timeline.extend(segments)
             makespan += t
             counters.update(c)
             for key, val in b.items():
@@ -322,15 +368,14 @@ class SearSSDModel:
         whole segments.
         """
         group = composite // span
-        edge = np.empty(group.size, dtype=bool)
-        edge[:1] = True
-        np.not_equal(group[1:], group[:-1], out=edge[1:])
-        starts = np.flatnonzero(edge)
-        loads = np.diff(starts, append=group.size)
+        bounds = _run_bounds(group)
+        starts = bounds[:-1]
+        loads = bounds[1:] - starts
         plane = (composite // self._plane_span) % self.config.geometry.planes_per_lun
-        stripped = np.unique(composite - plane * self._plane_span)
-        _, distinct = np.unique(stripped // span, return_counts=True)
-        return group[starts], starts, loads, loads - distinct
+        stripped = _run_bounds(
+            _distinct(composite - plane * self._plane_span) // span
+        )
+        return group[starts], starts, loads, loads - (stripped[1:] - stripped[:-1])
 
     def _compile_chunk(
         self, pairs: list[tuple[SearchTrace, list[np.ndarray] | None]]
@@ -342,16 +387,25 @@ class SearSSDModel:
         and prefetch page keys come from one ``page_keys`` call; one
         sort of ``segment * key_space + page key`` then yields, from
         run boundaries, every round's per-LUN raw counts, distinct
-        keys, loads and merges, and a second sort does the same for the
-        prefetches.  All outputs are integers or sorted integer arrays,
-        so this is exactly the per-round ``np.unique`` computation.
+        keys, loads and merges, and a second sort gives the distinct
+        prefetch keys.  All outputs are integers or sorted integer
+        arrays, so this is exactly the per-round ``np.unique``
+        computation.
         """
         flags = self.config.flags
         n_luns = self.config.geometry.total_luns
-        key_space = n_luns * self._lun_span
+        key_space = self._key_space
         lengths, vertices = computed_segments([t for t, _ in pairs])
         n_seg = len(lengths)
         seg = np.repeat(np.arange(n_seg, dtype=np.int64), lengths)
+        n_iter = [t.num_iterations for t, _ in pairs]
+        first = np.zeros(len(pairs) + 1, dtype=np.int64)
+        np.cumsum(n_iter, out=first[1:])
+        # Each segment's trace's first segment: segment - base = round.
+        seg_base = np.repeat(first[:-1], n_iter)
+        rounds = np.zeros((n_seg, 6), dtype=np.int64)
+        rounds[:, _ROUND] = np.arange(n_seg) - seg_base
+        rounds[:, _HAD] = np.asarray(lengths, dtype=np.int64) > 0
         # Round r's prefetch set spec[r] exists only while a round r+1
         # follows (r < n_iter - 1): it prefetches in segment base + r
         # and can hit in segment base + r + 1.
@@ -365,7 +419,6 @@ class SearSSDModel:
                         spec_parts.append(spec[r])
                         spec_at.append(base + r)
             base += trace.num_iterations
-        hits = n_cached = [0] * n_seg
         if spec_parts:
             spec_v = np.concatenate(spec_parts).astype(np.int64, copy=False)
             spec_seg = np.repeat(
@@ -374,16 +427,17 @@ class SearSSDModel:
             )
             stride = int(max(vertices.max(initial=0), spec_v.max())) + 1
             hit = np.isin(seg * stride + vertices, (spec_seg + 1) * stride + spec_v)
-            hits = np.bincount(seg[hit], minlength=n_seg).tolist()
+            rounds[:, _HITS] = np.bincount(seg[hit], minlength=n_seg)
+            rounds[:, _SPEC] = np.bincount(spec_seg, minlength=n_seg)
             seg, vertices = seg[~hit], vertices[~hit]
         else:
             spec_v = spec_seg = np.empty(0, dtype=np.int64)
         # Internal-DRAM cache (DiskANN hot vertices).
         if self._cached_arr is not None and vertices.size:
             cached = np.isin(vertices, self._cached_arr)
-            n_cached = np.bincount(seg[cached], minlength=n_seg).tolist()
+            rounds[:, _CACHED] = np.bincount(seg[cached], minlength=n_seg)
             seg, vertices = seg[~cached], vertices[~cached]
-        pairs_per_seg = np.bincount(seg, minlength=n_seg).tolist()
+        rounds[:, _PAIRS] = np.bincount(seg, minlength=n_seg)
         keys = self.placement.page_keys(np.concatenate([vertices, spec_v]))
 
         # Demand: groups are (segment, LUN) = composite // lun_span.
@@ -393,328 +447,292 @@ class SearSSDModel:
         group, starts, loads, merged = self._group_loads_merges(
             composite, self._lun_span
         )
-        unique_keys = composite % key_space
-        ends = np.append(starts[1:], composite.size).tolist()
-        group_tuples = list(
-            zip(
-                (group % n_luns).tolist(),
-                np.add.reduceat(raw, starts).tolist() if raw.size else [],
-                (unique_keys[a:b] for a, b in zip(starts.tolist(), ends)),
-                loads.tolist(),
-                merged.tolist(),
-            )
+        raw_before = np.zeros(raw.size + 1, dtype=np.int64)
+        np.cumsum(raw, out=raw_before[1:])
+        group_seg = group // n_luns
+        groups = np.stack(
+            [
+                group_seg - seg_base[group_seg],
+                group % n_luns,
+                raw_before[starts + loads] - raw_before[starts],
+                loads,
+                merged,
+            ],
+            axis=1,
         )
-        bounds = np.searchsorted(group // n_luns, np.arange(n_seg + 1)).tolist()
-        groups = [
-            tuple(group_tuples[bounds[s] : bounds[s + 1]]) for s in range(n_seg)
+        group_keys = composite - seg_base[composite // key_space] * key_space
+        group_bounds = np.searchsorted(group_seg, first).tolist()
+        key_bounds = np.searchsorted(composite, first * key_space).tolist()
+
+        # Prefetch: the distinct keys of each segment; their loads and
+        # merges are pooled across the sub-batch at pricing time.
+        spec_keys = np.unique(spec_seg * key_space + keys[vertices.size :])
+        spec_bounds = np.searchsorted(spec_keys, first * key_space).tolist()
+        spec_keys -= seg_base[spec_keys // key_space] * key_space
+
+        round_bounds = first.tolist()
+        return [
+            _CompiledTrace(
+                trace, spec,
+                rounds[round_bounds[i] : round_bounds[i + 1]],
+                groups[group_bounds[i] : group_bounds[i + 1]],
+                group_keys[key_bounds[i] : key_bounds[i + 1]],
+                spec_keys[spec_bounds[i] : spec_bounds[i + 1]],
+            )
+            for i, (trace, spec) in enumerate(pairs)
         ]
 
-        # Prefetch: groups are segments = composite // key_space.  The
-        # loads/merges pre-resolve a round where one query prefetches;
-        # multi-query rounds still pool the keys at batch time.
-        spec_round: list[tuple] = [(0, None, 0, 0)] * n_seg
-        if spec_v.size:
-            spec_count = np.bincount(spec_seg, minlength=n_seg).tolist()
-            composite = np.unique(spec_seg * key_space + keys[vertices.size :])
-            group, starts, loads, merged = self._group_loads_merges(
-                composite, key_space
-            )
-            spec_keys = composite % key_space
-            ends = np.append(starts[1:], composite.size).tolist()
-            for s, a, b, n_load, n_merge in zip(
-                group.tolist(), starts.tolist(), ends,
-                loads.tolist(), merged.tolist(),
-            ):
-                spec_round[s] = (spec_count[s], spec_keys[a:b], n_load, n_merge)
-
-        out: list[_CompiledTrace] = []
-        base = 0
-        for trace, spec in pairs:
-            rounds = tuple(
-                (lengths[s] > 0, pairs_per_seg[s], hits[s], n_cached[s], groups[s])
-                + spec_round[s]
-                for s in range(base, base + trace.num_iterations)
-            )
-            out.append(_CompiledTrace(trace, spec, rounds))
-            base += trace.num_iterations
-        return out
-
     # ---- one sub-batch ---------------------------------------------------------------
-    def _run_sub_batch(
-        self,
-        compiled: list[_CompiledTrace],
-        spec_enabled: bool,
-    ):
-        timing = self.config.timing
-        flags = self.config.flags
-        geometry = self.config.geometry
-        counters = Counters()
-        busy: dict[str, float] = {
-            "pcie_host": 0.0,
-            "vgenerator": 0.0,
-            "allocator": 0.0,
-            "nand_read": 0.0,
-            "channel_bus": 0.0,
-            "dram": 0.0,
-            "embedded_cores": 0.0,
-            "fpga_sort": 0.0,
-            "sin_macs_busy": 0.0,
-            "nand_busy": 0.0,
-            "lun_queues_busy": 0.0,
-            "ecc_busy": 0.0,
-        }
-        batch = len(compiled)
-        if batch == 0:
-            return 0.0, counters, busy, []
+    def _run_sub_batch(self, compiled: list[_CompiledTrace]):
+        """Price one sub-batch, all of its rounds in one vectorised pass.
 
+        Round ``r`` advances every trace that has a round ``r``: the
+        Scheduling, Searching and Gathering stages run back to back on
+        the engine, and the speculative prefetch overlaps them.  Every
+        float total is a left-to-right running sum in the order the
+        rounds book it (see :func:`_running_sums`), so the makespan,
+        busy times and timeline are bit-identical to pricing the rounds
+        one at a time.
+        """
+        timing = self.config.timing
+        batch = len(compiled)
+        counters = Counters()
+
+        # 1. Host sends the query batch over PCIe (Fig. 5 step 1).
+        query_bytes = batch * (self.dim * 4 + 16)
+        t_in = timing.host_transfer_s(query_bytes)
+
+        # Per-round totals over the active traces.
+        n_rounds = max(c.n_rounds for c in compiled)
+        rows = np.concatenate([c.rounds for c in compiled])
+        n_active = np.bincount(rows[:, _ROUND], minlength=n_rounds)
+        sums = np.zeros((n_rounds, 6), dtype=np.int64)
+        np.add.at(sums, rows[:, _ROUND], rows)
+        n_pairs = sums[:, _PAIRS]
+        totals = sums.sum(axis=0).tolist()
+        if totals[_HITS]:
+            counters["speculative_hits"] += totals[_HITS]
+        if totals[_CACHED]:
+            counters["cache_hits"] += totals[_CACHED]
+        if totals[_HAD]:
+            counters["distance_computations"] += totals[_PAIRS]
+
+        # Scheduling stage: Vgenerator pipeline + Allocator dispatch.
+        t_vgen = (n_active + 2) * timing.vgen_stage_s
+        t_alloc = n_pairs * timing.alloc_dispatch_s
+        dram_ops = 3 * n_active + 2 * n_pairs + sums[:, _CACHED]
+        t_dram_sched = dram_ops * timing.dram_access_s
+        t_sched = np.maximum(t_vgen + t_alloc, t_dram_sched)
+        # Speculative searching launches the next iteration's
+        # Allocating stage during the current Searching stage
+        # (Fig. 12), hiding the scheduling latency of every round
+        # after the first behind the previous round's search.
+        if self.config.flags.speculative:
+            t_sched[1:] = 0.0
+
+        # Searching stage: every LUN works in parallel (multi-LUN).
+        t_search, t_crit, lun_busy = self._search_rounds(compiled, n_rounds, counters)
+
+        # Gathering stage: Reduce/Apply on the QPT.
+        t_gather = (
+            n_pairs * timing.dram_access_s + n_active * timing.embedded_core_op_s
+        )
+        if n_rounds:
+            # Scheduling's dram_ops plus gathering's n_pairs + n_active.
+            counters["dram_accesses"] += (
+                4 * len(rows) + 3 * totals[_PAIRS] + totals[_CACHED]
+            )
+
+        # Speculative searching overlaps the next round's scheduling
+        # window; it only adds NAND activity + counters.
+        spec_nand, spec_mac = self._prefetch_rounds(
+            compiled, n_rounds, sums[:, _SPEC], counters
+        )
+
+        # Busy time, booked round by round in stage order: each row is
+        # one component's (first, second) term per round.
+        nand, mac, queues, ecc, soft = lun_busy
+        terms = np.zeros((10, n_rounds, 2))
+        terms[:, :, 0] = (
+            t_vgen, t_alloc, t_crit, t_search - t_crit, t_dram_sched,
+            soft, mac, nand, queues, ecc,
+        )
+        terms[4:8, :, 1] = (
+            n_pairs * timing.dram_access_s,
+            n_active * timing.embedded_core_op_s,
+            spec_mac,
+            spec_nand,
+        )
+        round_busy = _running_sums(terms.reshape(10, -1)).tolist()
+
+        # The engine clock: round r starts where round r - 1 ended, and
+        # its stages follow one another from there.
+        stages = np.empty((n_rounds, 3))
+        stages[:] = np.transpose((t_sched, t_search, t_gather))
+        steps = np.empty(n_rounds + 1)
+        steps[0] = t_in
+        steps[1:] = t_sched + t_search + t_gather
+        clock = np.cumsum(steps)
+        edges = np.empty((n_rounds, 4))
+        edges[:, 0] = clock[:-1]
+        for k in range(3):
+            np.add(edges[:, k], stages[:, k], out=edges[:, k + 1])
+        booked_round, booked_stage = (stages > 0).nonzero()
         # Phase timeline of this sub-batch, relative to its own start.
         # Host-in/out are distinct resources (full-duplex PCIe), so the
         # serving layer can drain batch N's results while batch N+1's
         # queries stream in.
         segments: list[PhaseSegment] = []
-
-        def book(stage: str, resource: str, start: float, duration: float) -> None:
-            if duration > 0:
-                segments.append(
-                    PhaseSegment(stage, start, start + duration, resource=resource)
-                )
-
-        # 1. Host sends the query batch over PCIe (Fig. 5 step 1).
-        query_bytes = batch * (self.dim * 4 + 16)
-        t_in = timing.host_transfer_s(query_bytes)
-        counters["pcie_bytes"] += query_bytes
-        busy["pcie_host"] += t_in
-        book("host_in", "host_in", 0.0, t_in)
-        makespan = t_in
-
-        max_rounds = max(c.n_rounds for c in compiled)
-
-        for round_idx in range(max_rounds):
-            # Aggregate the batch's compiled per-trace round work.  LUN
-            # accumulators keep first-touch order (query id ascending,
-            # LUN ascending per query) — the ECC fault stream consumes
-            # its draws in exactly this order.
-            n_active = 0
-            n_pairs = 0
-            cached_accesses = 0
-            # lun -> [n_vectors, loads, merged, unique-key arrays]
-            lun_acc: dict[int, list] = {}
-            for comp in compiled:
-                if round_idx >= comp.n_rounds:
-                    continue
-                had, pairs, hits, n_cached, groups = comp.rounds[round_idx][:5]
-                n_active += 1
-                if hits:
-                    counters["speculative_hits"] += hits
-                if n_cached:
-                    counters["cache_hits"] += n_cached
-                    cached_accesses += n_cached
-                if had:
-                    n_pairs += pairs
-                    counters["distance_computations"] += pairs
-                for lun, raw, uniq, loads, merged in groups:
-                    acc = lun_acc.get(lun)
-                    if acc is None:
-                        acc = lun_acc[lun] = [0, 0, 0, []]
-                    acc[0] += raw
-                    acc[1] += loads
-                    if flags.multiplane:
-                        acc[2] += merged
-                    acc[3].append(uniq)
-            if n_active == 0:
-                continue
-
-            # Scheduling stage: Vgenerator pipeline + Allocator dispatch.
-            t_vgen = (n_active + 2) * timing.vgen_stage_s
-            t_alloc = n_pairs * timing.alloc_dispatch_s
-            dram_ops = 3 * n_active + 2 * n_pairs + cached_accesses
-            t_dram_sched = dram_ops * timing.dram_access_s
-            counters["dram_accesses"] += dram_ops
-            t_sched = max(t_vgen + t_alloc, t_dram_sched)
-            # Speculative searching launches the next iteration's
-            # Allocating stage during the current Searching stage
-            # (Fig. 12), hiding the scheduling latency of every round
-            # after the first behind the previous round's search.
-            if flags.speculative and round_idx > 0:
-                t_sched = 0.0
-            busy["vgenerator"] += t_vgen
-            busy["allocator"] += t_alloc
-            busy["dram"] += t_dram_sched
-
-            # Searching stage: every LUN works in parallel (multi-LUN).
-            t_search, search_busy = self._search_stage(lun_acc, counters)
-            for key, val in search_busy.items():
-                busy[key] = busy.get(key, 0.0) + val
-
-            # Gathering stage: Reduce/Apply on the QPT.
-            gather_ops = n_pairs + n_active
-            t_gather = (
-                n_pairs * timing.dram_access_s
-                + n_active * timing.embedded_core_op_s
+        if t_in > 0:
+            segments.append(PhaseSegment("host_in", 0.0, t_in, resource="host_in"))
+        segments.extend(
+            PhaseSegment(_ROUND_STAGES[stage], start, end, resource="engine")
+            for stage, start, end in zip(
+                booked_stage.tolist(),
+                edges[booked_round, booked_stage].tolist(),
+                edges[booked_round, booked_stage + 1].tolist(),
             )
-            counters["dram_accesses"] += gather_ops
-            busy["embedded_cores"] += n_active * timing.embedded_core_op_s
-            busy["dram"] += n_pairs * timing.dram_access_s
-
-            # Speculative searching overlaps the next round's
-            # scheduling window; it only adds NAND activity + counters.
-            if flags.speculative and spec_enabled:
-                self._speculative_stage(compiled, round_idx, counters, busy)
-
-            book("schedule", "engine", makespan, t_sched)
-            book("search", "engine", makespan + t_sched, t_search)
-            book("gather", "engine", makespan + t_sched + t_search, t_gather)
-            makespan += t_sched + t_search + t_gather
+        )
+        makespan = float(clock[-1])
 
         # Sorting stage: result lists to the FPGA, top-k back to host.
-        list_len = int(np.mean([max(c.trace_length, 1) for c in compiled]))
+        # The mean list length, truncated (exact: the sum is far below 2**53).
+        list_len = sum(max(c.trace_length, 1) for c in compiled) // batch
         list_len = min(list_len, 256)
         t_sort = FPGASorter(timing=timing).sort_latency_s(batch, list_len)
         counters["sorted_elements"] += batch * list_len
-        busy["fpga_sort"] += t_sort
         out_bytes = batch * 10 * 8
         t_out = timing.host_transfer_s(out_bytes)
-        counters["pcie_bytes"] += out_bytes
-        busy["pcie_host"] += t_out
-        book("sort", "sorter", makespan, t_sort)
-        book("host_out", "host_out", makespan + t_sort, t_out)
+        counters["pcie_bytes"] += query_bytes + out_bytes
+        if t_sort > 0:
+            segments.append(
+                PhaseSegment("sort", makespan, makespan + t_sort, resource="sorter")
+            )
+        if t_out > 0:
+            segments.append(
+                PhaseSegment(
+                    "host_out", makespan + t_sort, makespan + t_sort + t_out,
+                    resource="host_out",
+                )
+            )
         makespan += t_sort + t_out
+        busy = dict(
+            zip(_BUSY_KEYS, [t_in + t_out, *round_busy[:6], t_sort, *round_busy[6:]])
+        )
         return makespan, counters, busy, segments
 
-    # ---- searching stage -------------------------------------------------------------
-    def _search_stage(self, lun_acc: dict[int, list], counters: Counters):
+    def _search_rounds(
+        self, compiled: list[_CompiledTrace], n_rounds: int, counters: Counters
+    ):
+        """The multi-LUN Searching stage of every round of a sub-batch.
+
+        Returns per round the stage time, its slowest channel's compute
+        time, and the within-round running sums of the LUNs' NAND, MAC,
+        queue, hard-decode and soft-decode stall times.
+        """
         timing = self.config.timing
         geometry = self.config.geometry
         flags = self.config.flags
-        busy = {
-            "nand_read": 0.0,
-            "channel_bus": 0.0,
-            "embedded_cores": 0.0,
-            "sin_macs_busy": 0.0,
-            "nand_busy": 0.0,
-            "lun_queues_busy": 0.0,
-            "ecc_busy": 0.0,
-        }
-        channel_compute: dict[int, float] = {}
-        channel_readout: dict[int, float] = {}
-        soft_stall = 0.0
-        # Dynamic allocation pools each LUN's round demand: one sense
-        # covers every query that needs the page, so loads/merges come
-        # from the *union* of the per-query page sets, not their sum.
-        # A LUN with a single contributing query needs no pooling (its
-        # union is the per-query set, resolved at compile time); the
-        # multi-query LUNs pool in ONE pass — page keys embed the LUN
-        # as their most-significant field, so one global unique yields
-        # every LUN's union size at once.
-        da_loads: dict[int, int] = {}
-        da_merged: dict[int, int] = {}
+        n_luns = geometry.total_luns
+        groups = np.concatenate([c.groups for c in compiled])
+        # Each (round, LUN) the sub-batch reads is one LUN run.  Within
+        # a round the trace-major rows are in query-then-LUN order, so
+        # a run's first row is its first touch: runs sorted by (round,
+        # first row) are in the order the LUN accumulators fill.
+        key = groups[:, _ROUND] * n_luns + groups[:, _LUN]
+        by_key = key.argsort(kind="stable")
+        bounds = _run_bounds(key[by_key])
+        first = by_key[bounds[:-1]]
+        run_key = key[first]
+        before = np.zeros((key.size + 1, 3), dtype=np.int64)
+        np.cumsum(groups[by_key, _RAW:], axis=0, out=before[1:])
+        run_sums = before[bounds[1:]] - before[bounds[:-1]]
         if flags.dynamic_alloc:
-            multi: list[np.ndarray] = []
-            multi_luns: list[int] = []
-            for lun, acc in lun_acc.items():
-                if len(acc[3]) > 1:
-                    multi.extend(acc[3])
-                    multi_luns.append(lun)
-            if multi:
-                uniq = np.unique(np.concatenate(multi))
-                plane = (
-                    uniq // self._plane_span
-                ) % self.config.geometry.planes_per_lun
-                wp = np.unique(uniq - plane * self._plane_span)
-                # Both arrays are sorted with the LUN as the top key
-                # field, so each LUN's slice is found by bisecting its
-                # key range — no per-LUN unique needed.
-                multi_luns.sort()
-                edges = np.empty(len(multi_luns) * 2, dtype=np.int64)
-                edges[0::2] = np.asarray(multi_luns) * self._lun_span
-                edges[1::2] = edges[0::2] + self._lun_span
-                bounds = np.searchsorted(uniq, edges)
-                wp_bounds = np.searchsorted(wp, edges)
-                for i, lid in enumerate(multi_luns):
-                    loads_i = int(bounds[2 * i + 1] - bounds[2 * i])
-                    da_loads[lid] = loads_i
-                    da_merged[lid] = loads_i - int(
-                        wp_bounds[2 * i + 1] - wp_bounds[2 * i]
-                    )
-        for lun, (n_vectors, loads, merged, uniqs) in lun_acc.items():
-            if flags.dynamic_alloc and len(uniqs) > 1:
-                loads = da_loads[lun]
-                merged = da_merged[lun] if flags.multiplane else 0
-            effective_ops = loads - merged
-            counters["page_reads"] += loads
-            counters["multiplane_reads"] += merged
-            counters["ecc_hard_decodes"] += loads
-            t_mac = n_vectors * timing.distance_mac_s(self.dim)
-            t_nand = effective_ops * (timing.read_page_s + timing.ecc_hard_decode_s)
-            # ECC fault injection: failed hard decodes fall back to the
-            # soft decoder on the embedded cores and stall this LUN.
-            failures = self.ldpc.decode_pages(loads)
-            if failures:
-                counters["ecc_soft_decodes"] += failures
-                t_soft = failures * timing.ecc_soft_decode_s
-                t_nand += t_soft
-                soft_stall += t_soft
-            lun_time = t_nand + t_mac
-            busy["nand_busy"] += t_nand
-            busy["sin_macs_busy"] += t_mac
-            busy["ecc_busy"] += loads * timing.ecc_hard_decode_s
-            busy["lun_queues_busy"] += lun_time
-            channel = lun // geometry.luns_per_channel
-            channel_compute[channel] = max(channel_compute.get(channel, 0.0), lun_time)
-            # Output-buffer readout over the shared channel bus.
-            readout_bytes = n_vectors * 8 + 16
-            counters["internal_bytes"] += readout_bytes
-            channel_readout[channel] = channel_readout.get(channel, 0.0) + (
-                readout_bytes / timing.channel_bus_bw + 0.5e-6
-            )
-        if not channel_compute:
-            return 0.0, busy
-        t_search = max(
-            channel_compute[ch] + channel_readout.get(ch, 0.0)
-            for ch in channel_compute
+            # Dynamic allocation pools each run's demand: one sense
+            # covers every query that needs the page, so loads/merges
+            # come from the *union* of the per-query page sets.  Keys
+            # embed (round, LUN) as their most significant fields, so
+            # one sorted union yields every run's loads and merges;
+            # a single query's union is its own set.
+            pooled = _distinct(np.concatenate([c.group_keys for c in compiled]))
+            _, _, loads, merged = self._group_loads_merges(pooled, self._lun_span)
+        else:
+            loads, merged = run_sums[:, _LOADS - _RAW], run_sums[:, _MERGED - _RAW]
+        touch = np.argsort(run_key // n_luns * groups.shape[0] + first)
+        rnd, lun = np.divmod(run_key[touch], n_luns)
+        n_vectors = run_sums[touch, 0]
+        loads = loads[touch]
+        merged = merged[touch] if flags.multiplane else np.zeros_like(loads)
+        # ECC fault injection: failed hard decodes fall back to the
+        # soft decoder on the embedded cores and stall their LUN.  The
+        # draws run in (round, first touch) order.
+        failures = self.ldpc.decode_runs(loads)
+        readout_bytes = n_vectors * 8 + 16
+        if rnd.size:
+            n_loads = int(loads.sum())
+            counters["page_reads"] += n_loads
+            counters["multiplane_reads"] += int(merged.sum())
+            counters["ecc_hard_decodes"] += n_loads
+            if failures.any():
+                counters["ecc_soft_decodes"] += int(failures.sum())
+            counters["internal_bytes"] += int(readout_bytes.sum())
+
+        t_mac = n_vectors * timing.distance_mac_s(self.dim)
+        t_soft = failures * timing.ecc_soft_decode_s
+        t_nand = (loads - merged) * (timing.read_page_s + timing.ecc_hard_decode_s)
+        t_nand += t_soft
+        lun_time = t_nand + t_mac
+        # Within-round running sums, one row per round, runs in order.
+        slot = np.arange(rnd.size) - np.searchsorted(rnd, rnd)
+        per_round = np.zeros((5, n_rounds, int(slot.max(initial=-1)) + 1))
+        per_round[:, rnd, slot] = (
+            t_nand, t_mac, lun_time, loads * timing.ecc_hard_decode_s, t_soft
         )
+        lun_busy = _running_sums(per_round)
+
+        # Per channel: the slowest LUN's compute time, then each LUN's
+        # output-buffer readout over the shared channel bus in turn.
+        channel = lun // geometry.luns_per_channel
+        cell = rnd * geometry.channels + channel
+        order = np.argsort(cell, kind="stable")
+        cell = cell[order]
+        slot = np.arange(cell.size) - np.searchsorted(cell, cell)
+        per_channel = np.zeros(
+            (2, n_rounds, geometry.channels, int(slot.max(initial=-1)) + 1)
+        )
+        per_channel[:, rnd[order], channel[order], slot] = (
+            lun_time[order],
+            readout_bytes[order] / timing.channel_bus_bw + 0.5e-6,
+        )
+        compute = per_channel[0].max(axis=-1, initial=0.0)
+        t_search = (compute + _running_sums(per_channel[1])).max(axis=1, initial=0.0)
         # Critical-path attribution: the slowest channel's compute time
         # counts as NAND read, the remainder as channel-bus readout.
-        t_compute_crit = max(channel_compute.values())
-        busy["nand_read"] += t_compute_crit
-        busy["channel_bus"] += t_search - t_compute_crit
-        busy["embedded_cores"] += soft_stall
-        return t_search, busy
+        return t_search, compute.max(axis=1, initial=0.0), lun_busy
 
-    # ---- speculative stage ------------------------------------------------------------
-    def _speculative_stage(
+    def _prefetch_rounds(
         self,
         compiled: list[_CompiledTrace],
-        round_idx: int,
+        n_rounds: int,
+        n_spec: np.ndarray,
         counters: Counters,
-        busy: dict[str, float],
-    ) -> None:
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-round NAND and MAC busy time of the speculative prefetches.
+
+        Cross-query pooling: a page two queries prefetch in a round is
+        sensed once, so each round's loads come from the union of its
+        prefetch keys.  The prefetches overlap the next round's
+        scheduling window, so they add busy time but no latency.
+        """
         timing = self.config.timing
-        total_vertices = 0
-        keys_list: list[np.ndarray] = []
-        loads = merged = 0
-        for comp in compiled:
-            if round_idx >= comp.n_rounds:
-                continue
-            spec_count, spec_keys, spec_loads, spec_merged = (
-                comp.rounds[round_idx][5:9]
-            )
-            if spec_count:
-                total_vertices += spec_count
-                keys_list.append(spec_keys)
-                loads, merged = spec_loads, spec_merged
-        if not keys_list:
-            return
-        if len(keys_list) > 1:
-            # Cross-query pooling: a page two queries prefetch is
-            # sensed once, so the batch's loads come from the pooled
-            # key set, not the per-query sums.
-            loads, merged = self._loads_and_merges(np.concatenate(keys_list))
-        effective = loads - (merged if self.config.flags.multiplane else 0)
-        counters["speculative_page_reads"] += loads
-        counters["page_reads"] += loads
-        counters["ecc_hard_decodes"] += loads
-        # Overlapped with the next round's scheduling window: adds NAND
-        # busy time (and energy) but not critical-path latency.
-        busy["nand_busy"] += effective * timing.read_page_s
-        busy["sin_macs_busy"] += total_vertices * timing.distance_mac_s(self.dim)
+        pooled = _distinct(np.concatenate([c.spec_keys for c in compiled]))
+        rounds, _, loads, merged = self._group_loads_merges(pooled, self._key_space)
+        if rounds.size:
+            n_loads = int(loads.sum())
+            counters["speculative_page_reads"] += n_loads
+            counters["page_reads"] += n_loads
+            counters["ecc_hard_decodes"] += n_loads
+        effective = loads - merged if self.config.flags.multiplane else loads
+        nand = np.zeros(n_rounds)
+        nand[rounds] = effective * timing.read_page_s
+        return nand, n_spec * timing.distance_mac_s(self.dim)

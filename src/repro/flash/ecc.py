@@ -95,22 +95,38 @@ class LDPCModel:
             return False
         return bool(self._rng.random() >= self.hard_failure_prob)
 
-    def decode_pages(self, n: int) -> int:
-        """Decode ``n`` pages at once; returns the hard-decode failure count.
+    def _failed(self, n: int) -> np.ndarray:
+        """Hard-decode failure flags of the next ``n`` page decodes.
 
         Draws ``n`` variates in one vectorized call.  A numpy Generator
         produces the identical stream for ``rng.random(n)`` and ``n``
-        successive ``rng.random()`` calls, so batches of any size
+        successive ``rng.random()`` calls, so draws of any size
         interleave bit-exactly with :meth:`decode_page`.
         """
         self._reads += n
         if n <= 0 or self.hard_failure_prob == 0.0:
-            return 0
+            return np.zeros(max(n, 0), dtype=bool)
         if self.hard_failure_prob == 1.0:
-            return n
-        return int(
-            np.count_nonzero(self._rng.random(n) < self.hard_failure_prob)
-        )
+            return np.ones(n, dtype=bool)
+        return self._rng.random(n) < self.hard_failure_prob
+
+    def decode_pages(self, n: int) -> int:
+        """Decode ``n`` pages at once; returns the hard-decode failure count."""
+        return int(np.count_nonzero(self._failed(n)))
+
+    def decode_runs(self, counts: np.ndarray) -> np.ndarray:
+        """Decode consecutive runs of ``counts[i]`` pages in one draw.
+
+        Returns each run's failure count: exactly what successive
+        ``decode_pages(counts[i])`` calls return, with the same
+        ``reads`` and stream position afterwards.
+        """
+        counts = np.asarray(counts, dtype=np.int64)
+        bounds = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=bounds[1:])
+        running = np.zeros(bounds[-1] + 1, dtype=np.int64)
+        np.cumsum(self._failed(int(bounds[-1])), out=running[1:])
+        return running[bounds[1:]] - running[bounds[:-1]]
 
     def expected_failures(self, n_reads: int) -> float:
         return n_reads * self.hard_failure_prob

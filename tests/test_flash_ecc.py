@@ -72,6 +72,27 @@ class TestLDPCModel:
         with pytest.raises(ValueError):
             LDPCModel(hard_failure_prob=1.5)
 
+    @pytest.mark.parametrize("p", [0.0, 0.01, 0.3, 1.0])
+    @pytest.mark.parametrize(
+        "counts",
+        [[], [0], [5], [3, 0, 0, 7, 1, 0], [0, 40, 2, 0], [1] * 9],
+    )
+    def test_decode_runs_equals_successive_decode_pages(self, p, counts):
+        batched = LDPCModel(hard_failure_prob=p, seed=3)
+        single = LDPCModel(hard_failure_prob=p, seed=3)
+        # Start mid-stream: the runs continue wherever the stream is.
+        batched.decode_pages(4)
+        single.decode_pages(4)
+        got = batched.decode_runs(np.asarray(counts, dtype=np.int64))
+        assert got.dtype == np.int64
+        assert got.tolist() == [single.decode_pages(n) for n in counts]
+        assert batched.reads == single.reads
+        assert (
+            batched._rng.bit_generator.state == single._rng.bit_generator.state
+        )
+        # Both continue with the same draws afterwards.
+        assert batched.decode_pages(50) == single.decode_pages(50)
+
 
 class TestBitErrorInjection:
     def test_error_count_matches_rate(self):

@@ -20,7 +20,15 @@ from repro.ann.graph import ProximityGraph
 from repro.ann.trace import IterationRecord, SearchTrace
 from repro.core.config import HostConfig, NDSearchConfig, SchedulingFlags
 from repro.core.placement import map_vertices
-from repro.core.searssd import SearSSDModel
+from repro.core.searssd import (
+    _CACHED,
+    _HAD,
+    _HITS,
+    _PAIRS,
+    _ROUND,
+    _SPEC,
+    SearSSDModel,
+)
 from repro.core.speculative import (
     TRACE_CHUNK,
     precompute_speculative_sets,
@@ -49,6 +57,21 @@ def _model(n, flags, scheme="multiplane", cached=None) -> SearSSDModel:
     return SearSSDModel(
         config=config, placement=placement, dim=16, cached_vertices=cached
     )
+
+
+def loads_and_merges(model: SearSSDModel, keys: np.ndarray) -> tuple[int, int]:
+    """Distinct page senses and multi-plane merge count for keys.
+
+    ``merged`` counts pages folded into another plane's sense of the
+    same (block, page): distinct pages minus distinct plane-stripped
+    pages.
+    """
+    unique = np.unique(keys)
+    loads = int(unique.size)
+    plane = (unique // model._plane_span) % model.config.geometry.planes_per_lun
+    without_plane = unique - plane * model._plane_span
+    merged = loads - int(np.unique(without_plane).size)
+    return loads, merged
 
 
 def oracle_rounds(model: SearSSDModel, trace: SearchTrace, spec) -> tuple:
@@ -82,7 +105,7 @@ def oracle_rounds(model: SearSSDModel, trace: SearchTrace, spec) -> tuple:
             for lun in np.unique(luns):
                 lun_keys = keys[luns == lun]
                 uniq = np.unique(lun_keys)
-                loads, merged = model._loads_and_merges(uniq)
+                loads, merged = loads_and_merges(model, uniq)
                 group_list.append(
                     (int(lun), int(lun_keys.size), uniq, loads, merged)
                 )
@@ -100,7 +123,7 @@ def oracle_rounds(model: SearSSDModel, trace: SearchTrace, spec) -> tuple:
         ):
             spec_count = int(spec[r].size)
             spec_keys = model.placement.page_keys(spec[r])
-            spec_loads, spec_merged = model._loads_and_merges(spec_keys)
+            spec_loads, spec_merged = loads_and_merges(model, spec_keys)
         rounds.append(
             (had_computed, pairs, hits, n_cached, groups,
              spec_count, spec_keys, spec_loads, spec_merged)
@@ -108,26 +131,50 @@ def oracle_rounds(model: SearSSDModel, trace: SearchTrace, spec) -> tuple:
     return tuple(rounds)
 
 
-def assert_rounds_equal(got: tuple, want: tuple) -> None:
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert type(g[0]) is bool and g[0] == w[0]
-        for a, b in zip(g[1:4], w[1:4]):
-            assert type(a) is int and a == b
-        assert len(g[4]) == len(w[4])
-        for (lun, raw, uniq, loads, merged), wg in zip(g[4], w[4]):
-            assert (lun, raw, loads, merged) == (wg[0], wg[1], wg[3], wg[4])
-            assert all(type(x) is int for x in (lun, raw, loads, merged))
-            assert uniq.dtype == np.int64
-            assert np.array_equal(uniq, wg[2])
-        assert g[5] == w[5] and g[7:] == w[7:]
-        assert all(type(x) is int for x in (g[5], g[7], g[8]))
-        if w[6] is None:
-            assert g[6] is None
-        else:
-            # Only the distinct keys matter: prefetches pool by union.
-            assert g[6].dtype == np.int64
-            assert np.array_equal(g[6], np.unique(w[6]))
+def assert_rounds_equal(model: SearSSDModel, comp, want: tuple) -> None:
+    """``comp``'s flat arrays hold exactly the oracle's rounds ``want``."""
+    key_space = model._key_space
+    n = len(want)
+    assert comp.rounds.dtype == np.int64 and comp.rounds.shape == (n, 6)
+    assert comp.rounds[:, _ROUND].tolist() == list(range(n))
+    assert comp.rounds[:, _HAD].tolist() == [int(w[0]) for w in want]
+    assert comp.rounds[:, _PAIRS : _CACHED + 1].tolist() == [
+        list(w[1:4]) for w in want
+    ]
+    assert comp.rounds[:, _SPEC].tolist() == [w[5] for w in want]
+
+    want_groups = [
+        (r, lun, raw, loads, merged)
+        for r, w in enumerate(want)
+        for lun, raw, _, loads, merged in w[4]
+    ]
+    assert comp.groups.dtype == np.int64
+    assert comp.groups.shape == (len(want_groups), 5)
+    assert comp.groups.tolist() == [list(g) for g in want_groups]
+    want_keys = [
+        r * key_space + uniq for r, w in enumerate(want) for _, _, uniq, _, _ in w[4]
+    ]
+    assert comp.group_keys.dtype == np.int64
+    assert np.array_equal(
+        comp.group_keys,
+        np.concatenate(want_keys) if want_keys else np.empty(0, np.int64),
+    )
+
+    # Only the distinct prefetch keys matter: prefetches pool by union.
+    # Their loads and merges are what pricing derives from the keys.
+    spec_rounds = [r for r, w in enumerate(want) if w[6] is not None]
+    assert all(want[r][5] == 0 for r in range(n) if r not in spec_rounds)
+    want_spec = [r * key_space + np.unique(want[r][6]) for r in spec_rounds]
+    assert comp.spec_keys.dtype == np.int64
+    assert np.array_equal(
+        comp.spec_keys,
+        np.concatenate(want_spec) if want_spec else np.empty(0, np.int64),
+    )
+    rounds, _, loads, merged = model._group_loads_merges(comp.spec_keys, key_space)
+    assert rounds.tolist() == spec_rounds
+    assert list(zip(loads.tolist(), merged.tolist())) == [
+        (want[r][7], want[r][8]) for r in spec_rounds
+    ]
 
 
 # ---- strategies --------------------------------------------------------------------
@@ -189,7 +236,7 @@ def test_batched_compile_matches_per_trace_oracle(
         assert comp.trace is trace and comp.spec is spec
         assert comp.n_rounds == trace.num_iterations
         assert comp.trace_length == trace.trace_length
-        assert_rounds_equal(comp.rounds, oracle_rounds(model, trace, spec))
+        assert_rounds_equal(model, comp, oracle_rounds(model, trace, spec))
 
 
 @given(batches(), st.data())
@@ -208,7 +255,7 @@ def test_repeated_traces_in_a_batch_match_the_oracle(batch, data):
     compiled = model._compiled_batch(batch_traces, batch_specs)
     for comp, trace, spec in zip(compiled, batch_traces, batch_specs):
         assert comp.trace is trace and comp.spec is spec
-        assert_rounds_equal(comp.rounds, oracle_rounds(model, trace, spec))
+        assert_rounds_equal(model, comp, oracle_rounds(model, trace, spec))
 
 
 def test_spec_edges_at_first_and_last_round():
@@ -221,10 +268,10 @@ def test_spec_edges_at_first_and_last_round():
     model = _model(12, SchedulingFlags.all_enabled())
     (comp,) = model._compile_traces([(trace, spec)])
     want = oracle_rounds(model, trace, spec)
-    assert_rounds_equal(comp.rounds, want)
-    assert [r[2] for r in comp.rounds] == [0, 3, 3]
-    assert [r[5] for r in comp.rounds] == [12, 12, 0]
-    assert comp.rounds[-1][6] is None
+    assert_rounds_equal(model, comp, want)
+    assert comp.rounds[:, _HITS].tolist() == [0, 3, 3]
+    assert comp.rounds[:, _SPEC].tolist() == [12, 12, 0]
+    assert (comp.spec_keys // model._key_space).max() == 1
 
 
 # ---- speculative sets -------------------------------------------------------------
