@@ -19,11 +19,6 @@ from repro.ann.trace import SearchTrace
 from repro.core.placement import VertexPlacement
 
 
-def _trace_vertices(trace: SearchTrace) -> np.ndarray:
-    flat = [v for record in trace.iterations for v in record.computed]
-    return np.asarray(flat, dtype=np.int64)
-
-
 def page_access_ratio(
     traces: list[SearchTrace], placement: VertexPlacement
 ) -> float:
@@ -39,11 +34,10 @@ def page_access_ratio(
         if length == 0:
             continue
         accesses = 0
-        for record in trace.iterations:
-            if not record.computed:
-                continue
-            vertices = np.asarray(record.computed, dtype=np.int64)
-            accesses += int(np.unique(placement.page_keys(vertices)).size)
+        for r in range(trace.num_iterations):
+            vertices = trace.computed_at(r)
+            if vertices.size:
+                accesses += int(np.unique(placement.page_keys(vertices)).size)
         ratios.append(accesses / length)
     return float(np.mean(ratios)) if ratios else 0.0
 
@@ -59,10 +53,10 @@ def accessed_vector_fraction(
     for trace in traces:
         vector_bytes_total = 0
         page_bytes_total = 0
-        for record in trace.iterations:
-            if not record.computed:
+        for r in range(trace.num_iterations):
+            vertices = trace.computed_at(r)
+            if not vertices.size:
                 continue
-            vertices = np.asarray(record.computed, dtype=np.int64)
             pages = int(np.unique(placement.page_keys(vertices)).size)
             vector_bytes_total += vertices.size * vector_bytes
             page_bytes_total += pages * page_size
@@ -78,9 +72,10 @@ def lun_coverage(
     holding = np.unique(placement.lun)
     touched: set[int] = set()
     for trace in traces:
-        vertices = _trace_vertices(trace)
-        if vertices.size:
-            touched.update(int(l) for l in np.unique(placement.lun[vertices]))
+        if trace.computed.size:
+            touched.update(
+                int(l) for l in np.unique(placement.lun[trace.computed])
+            )
     if holding.size == 0:
         return 0.0
     return len(touched) / int(holding.size)
@@ -96,21 +91,14 @@ def batch_page_accesses(
     total = 0
     max_rounds = max((t.num_iterations for t in traces), default=0)
     for round_idx in range(max_rounds):
+        active = [
+            t.computed_at(round_idx)
+            for t in traces
+            if round_idx < t.num_iterations
+        ]
         if shared:
-            vertices = []
-            for trace in traces:
-                if round_idx < trace.num_iterations:
-                    vertices.extend(trace.iterations[round_idx].computed)
-            if vertices:
-                keys = placement.page_keys(np.asarray(vertices, dtype=np.int64))
-                total += int(np.unique(keys).size)
-        else:
-            for trace in traces:
-                if round_idx < trace.num_iterations:
-                    computed = trace.iterations[round_idx].computed
-                    if computed:
-                        keys = placement.page_keys(
-                            np.asarray(computed, dtype=np.int64)
-                        )
-                        total += int(np.unique(keys).size)
+            active = [np.concatenate(active)] if active else []
+        for vertices in active:
+            if vertices.size:
+                total += int(np.unique(placement.page_keys(vertices)).size)
     return total

@@ -11,7 +11,7 @@ trace-driven simulator (Section VII-A, "Simulation method").
 
 from repro.ann.distance import DistanceMetric, pairwise_distances, distances_to_query
 from repro.ann.graph import ProximityGraph
-from repro.ann.trace import IterationRecord, SearchTrace, TraceRecorder
+from repro.ann.trace import SearchTrace, TraceRecorder
 from repro.ann.search import greedy_beam_search, merge_topk
 from repro.ann.bruteforce import BruteForceIndex
 from repro.ann.recall import recall_at_k
@@ -26,7 +26,6 @@ __all__ = [
     "pairwise_distances",
     "distances_to_query",
     "ProximityGraph",
-    "IterationRecord",
     "SearchTrace",
     "TraceRecorder",
     "greedy_beam_search",

@@ -190,8 +190,6 @@ class DiskANNIndex:
         for _, v in results:
             self._visit_counts[v] += 1
         ids, dists = top_k_from_results(results, k)
-        if recorder is not None:
-            recorder.record_result(ids, dists)
         return ids, dists
 
     def search_batch(

@@ -164,8 +164,6 @@ class HCNNGIndex:
             recorder=recorder,
         )
         ids, dists = top_k_from_results(results, k)
-        if recorder is not None:
-            recorder.record_result(ids, dists)
         return ids, dists
 
     def search_batch(

@@ -325,8 +325,6 @@ class HNSWIndex:
             recorder=recorder,
         )
         ids, dists = top_k_from_results(results, k)
-        if recorder is not None:
-            recorder.record_result(ids, dists)
         return ids, dists
 
     def search_batch(

@@ -123,7 +123,7 @@ class IVFFlatIndex:
         for c in probe_order:
             members = self.lists[int(c)]
             if recorder is not None:
-                recorder.record_iteration(int(c), members.tolist())
+                recorder.record_iteration(int(c), members)
             if members.size == 0:
                 continue
             d = distances_to_query(self.vectors[members], query, self.metric)
@@ -136,8 +136,6 @@ class IVFFlatIndex:
         order = np.argsort(dists, kind="stable")[:k]
         top_ids = ids[order].astype(np.int64)
         top_d = dists[order].astype(np.float64)
-        if recorder is not None:
-            recorder.record_result(top_ids, top_d)
         return top_ids, top_d
 
     def search_batch(

@@ -5,7 +5,11 @@ inner loop (Section II-A): keep a candidate list, repeatedly pop the
 candidate nearest to the query, terminate when it is farther than the
 worst of the current top results, otherwise compute distances to its
 unvisited neighbors and push them.  The kernel optionally records an
-access trace (one :class:`IterationRecord` per pop) for the simulator.
+access trace for the simulator through a
+:class:`~repro.ann.trace.TraceRecorder`: one iteration for the seeding
+(entry = first seed, computed = the deduplicated seeds in caller
+order), then one per pop (entry = the popped vertex, computed = its
+neighbors not visited before).
 """
 
 from __future__ import annotations
@@ -39,12 +43,14 @@ def greedy_beam_search(
         Callable ``vertex -> ndarray of neighbor IDs`` (lets HNSW pass a
         per-layer adjacency and TOGG pass a filtered one).
     entry_points:
-        Initial candidate vertices.
+        Initial candidate vertices; duplicates are dropped, keeping the
+        first occurrence.
     ef:
         Beam width — size of the dynamic result list.
     recorder:
-        Optional :class:`TraceRecorder`; one iteration is recorded per
-        expanded vertex, carrying the newly computed neighbor IDs.
+        Optional :class:`TraceRecorder`; one iteration is recorded for
+        the seeds, then one per expanded vertex, carrying the newly
+        computed neighbor IDs.
     neighbor_filter:
         Optional callable ``(current_vertex, neighbor_ids) -> neighbor_ids``
         applied before distance computation (TOGG's guided stage).
@@ -60,8 +66,11 @@ def greedy_beam_search(
     if not entry_points:
         raise ValueError("need at least one entry point")
 
-    entry_set = set(int(e) for e in entry_points)
-    entry_array = np.fromiter(entry_set, dtype=np.int64, count=len(entry_set))
+    # Dedupe in caller order, so the recorded seed iteration does not
+    # depend on set iteration order.
+    entry_array = np.asarray(
+        list(dict.fromkeys(int(e) for e in entry_points)), dtype=np.int64
+    )
     entry_dists = distances_to_query(vectors[entry_array], query, metric)
     # Visited bookkeeping as a dense bool mask: the per-expansion
     # "which neighbors are new" filter becomes one vectorized gather
@@ -78,7 +87,7 @@ def greedy_beam_search(
     while len(results) > ef:
         heapq.heappop(results)
     if recorder is not None:
-        recorder.record_iteration(int(entry_array[0]), entry_array.tolist())
+        recorder.record_iteration(entry_array[0], entry_array)
 
     iterations = 0
     while candidates:

@@ -195,8 +195,6 @@ class TOGGIndex:
             recorder=recorder,
         )
         ids, dists = top_k_from_results(results, k)
-        if recorder is not None:
-            recorder.record_result(ids, dists)
         return ids, dists
 
     def search_batch(

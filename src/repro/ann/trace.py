@@ -5,100 +5,91 @@ to dump, for every query, the index sequence of accessed vertices; the
 trace-driven simulator then replays those accesses on each platform
 model.  We formalise that record here:
 
-* :class:`IterationRecord` — one search iteration: the entry vertex
-  whose neighbor list was read, and the neighbor IDs whose distances
-  were computed this iteration.
-* :class:`SearchTrace` — all iterations of one query, plus the final
-  result list.
+* :class:`SearchTrace` — all iterations of one query as three flat
+  int64 arrays: each iteration's entry vertex (whose neighbor list was
+  read), and the neighbor IDs whose distances were computed, stored
+  back to back with per-iteration offsets.  This is also the layout
+  :class:`~repro.workloads.traces.TraceSet` writes to disk, so no
+  layer converts between formats.
 * :class:`TraceRecorder` — the hook object search kernels call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    """One iteration of graph-traversal search for one query.
+@dataclass(frozen=True, eq=False, slots=True)
+class SearchTrace:
+    """The complete access trace of one query.
 
-    ``entry`` is the vertex popped from the candidate list (its
-    adjacency information is read), ``computed`` are the previously
-    unvisited neighbors whose feature vectors were fetched and whose
-    distances to the query were computed.
+    ``entries[r]`` is iteration ``r``'s entry vertex, popped from the
+    candidate list (its adjacency information is read).  Iteration
+    ``r``'s computed vertices — the previously unvisited neighbors
+    whose feature vectors were fetched and whose distances to the
+    query were computed — are ``computed[offsets[r]:offsets[r + 1]]``.
+    ``offsets`` has ``num_iterations + 1`` entries and starts at 0.
+
+    Equality is identity: the simulators key caches on trace objects.
     """
 
-    entry: int
-    computed: tuple[int, ...]
-
-
-@dataclass
-class SearchTrace:
-    """The complete access trace of one query."""
-
     query_id: int
-    iterations: list[IterationRecord] = field(default_factory=list)
-    result_ids: np.ndarray | None = None
-    result_distances: np.ndarray | None = None
+    entries: np.ndarray
+    offsets: np.ndarray
+    computed: np.ndarray
 
     @property
     def num_iterations(self) -> int:
-        return len(self.iterations)
-
-    @property
-    def visited_vertices(self) -> list[int]:
-        """All computed vertex IDs in visit order (may repeat entries)."""
-        out: list[int] = []
-        for it in self.iterations:
-            out.extend(it.computed)
-        return out
+        return self.entries.size
 
     @property
     def trace_length(self) -> int:
         """The paper's 'length of the searching trace': number of
         visited vertices that are computed against the query."""
-        return sum(len(it.computed) for it in self.iterations)
+        return self.computed.size
 
-    @property
-    def entries(self) -> list[int]:
-        return [it.entry for it in self.iterations]
+    def computed_at(self, r: int) -> np.ndarray:
+        """Iteration ``r``'s computed vertex IDs (a view)."""
+        return self.computed[self.offsets[r] : self.offsets[r + 1]]
 
 
-def computed_segments(traces: list[SearchTrace]) -> tuple[list[int], np.ndarray]:
+def computed_segments(traces: list[SearchTrace]) -> tuple[np.ndarray, np.ndarray]:
     """Every (trace, iteration) of ``traces`` as one flat segment array.
 
     Segment ``s`` is the ``s``-th iteration in trace-major order.
     Returns each segment's ``computed`` length and all computed vertex
     IDs concatenated in segment order.
     """
-    records = [it.computed for trace in traces for it in trace.iterations]
-    lengths = [len(c) for c in records]
-    flat = np.fromiter(
-        chain.from_iterable(records), dtype=np.int64, count=sum(lengths)
-    )
-    return lengths, flat
+    lengths = np.concatenate([np.diff(t.offsets) for t in traces])
+    return lengths, np.concatenate([t.computed for t in traces])
 
 
 class TraceRecorder:
     """Mutable builder the search kernels feed; one per query."""
 
     def __init__(self, query_id: int = 0) -> None:
-        self.trace = SearchTrace(query_id=query_id)
+        self.query_id = query_id
+        self._entries: list[int] = []
+        self._computed: list[np.ndarray] = []
 
     def record_iteration(self, entry: int, computed: list[int] | np.ndarray) -> None:
-        self.trace.iterations.append(
-            IterationRecord(entry=int(entry), computed=tuple(int(c) for c in computed))
-        )
-
-    def record_result(self, ids: np.ndarray, distances: np.ndarray) -> None:
-        self.trace.result_ids = np.asarray(ids, dtype=np.int64)
-        self.trace.result_distances = np.asarray(distances, dtype=np.float64)
+        self._entries.append(int(entry))
+        self._computed.append(np.asarray(computed, dtype=np.int64))
 
     def finish(self) -> SearchTrace:
-        return self.trace
+        lengths = np.array([c.size for c in self._computed], dtype=np.int64)
+        offsets = np.zeros(lengths.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        return SearchTrace(
+            query_id=self.query_id,
+            entries=np.asarray(self._entries, dtype=np.int64),
+            offsets=offsets,
+            computed=np.concatenate(
+                self._computed or [np.empty(0, dtype=np.int64)]
+            ),
+        )
 
 
 def remap_trace(trace: SearchTrace, new_id: np.ndarray) -> SearchTrace:
@@ -109,18 +100,9 @@ def remap_trace(trace: SearchTrace, new_id: np.ndarray) -> SearchTrace:
     the simulator sees the post-reordering physical placement.
     ``new_id[old] = new``.
     """
-    remapped = SearchTrace(query_id=trace.query_id)
-    iterations = trace.iterations
-    entries = new_id[[it.entry for it in iterations]].tolist()
-    lengths, flat = computed_segments([trace])
-    computed = new_id[flat].tolist()
-    pos = 0
-    for entry, n in zip(entries, lengths):
-        remapped.iterations.append(
-            IterationRecord(entry=entry, computed=tuple(computed[pos : pos + n]))
-        )
-        pos += n
-    if trace.result_ids is not None:
-        remapped.result_ids = new_id[trace.result_ids]
-        remapped.result_distances = trace.result_distances
-    return remapped
+    return SearchTrace(
+        query_id=trace.query_id,
+        entries=new_id[trace.entries],
+        offsets=trace.offsets,
+        computed=new_id[trace.computed],
+    )

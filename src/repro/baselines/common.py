@@ -42,12 +42,7 @@ def cache_hit_count(
     """Accesses served by a host/DRAM cache of hot vertices."""
     if cached_vertices is None or len(cached_vertices) == 0:
         return 0
-    cached = frozenset(int(v) for v in cached_vertices)
-    hits = 0
-    for trace in traces:
-        for record in trace.iterations:
-            hits += sum(1 for v in record.computed if v in cached)
-    return hits
+    return sum(int(np.isin(t.computed, cached_vertices).sum()) for t in traces)
 
 
 @dataclass(frozen=True)

@@ -92,9 +92,9 @@ class DeepStoreModel:
     ) -> SimResult:
         timing = self.config.timing
         cached = (
-            frozenset(int(v) for v in cached_vertices)
+            np.asarray(cached_vertices, dtype=np.int64)
             if cached_vertices is not None
-            else frozenset()
+            else np.empty(0, dtype=np.int64)
         )
         counters = Counters()
         busy: dict[str, float] = {
@@ -130,17 +130,11 @@ class DeepStoreModel:
                 if round_idx >= trace.num_iterations:
                     continue
                 n_active += 1
-                computed = np.asarray(
-                    trace.iterations[round_idx].computed, dtype=np.int64
-                )
-                if cached and computed.size:
+                computed = trace.computed_at(round_idx)
+                if cached.size and computed.size:
                     # DiskANN-style hot vertices served from the SSD's
                     # controller DRAM, as on NDSearch.
-                    mask = np.fromiter(
-                        (int(v) in cached for v in computed),
-                        dtype=bool,
-                        count=computed.size,
-                    )
+                    mask = np.isin(computed, cached)
                     hits = int(mask.sum())
                     if hits:
                         counters["cache_hits"] += hits

@@ -405,7 +405,7 @@ class SearSSDModel:
         seg_base = np.repeat(first[:-1], n_iter)
         rounds = np.zeros((n_seg, 6), dtype=np.int64)
         rounds[:, _ROUND] = np.arange(n_seg) - seg_base
-        rounds[:, _HAD] = np.asarray(lengths, dtype=np.int64) > 0
+        rounds[:, _HAD] = lengths > 0
         # Round r's prefetch set spec[r] exists only while a round r+1
         # follows (r < n_iter - 1): it prefetches in segment base + r
         # and can hit in segment base + r + 1.

@@ -795,7 +795,7 @@ class ServingFrontend:
             self._arrival_pending = False
         if not self._epoch_armed:
             self._arm_epochs(now)
-        depth = len(self.batcher) + self._in_service_count()
+        depth = len(self.batcher) + self._in_service_total
         self.metrics.observe_arrival(request, depth)
         if self.windows is not None:
             self.windows.inc("arrivals", now)
@@ -1498,6 +1498,3 @@ class ServingFrontend:
                 self.coalescer.on_dispatch(
                     request, ids[i].copy(), dists[i].copy(), k, completion
                 )
-
-    def _in_service_count(self) -> int:
-        return self._in_service_total

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.ann.trace import IterationRecord, SearchTrace
+from repro.ann.trace import SearchTrace, computed_segments
 
 
 def zipf_weights(pool_size: int, exponent: float = 1.0) -> np.ndarray:
@@ -106,62 +106,57 @@ class TraceSet:
             result_dists=self.result_dists[:batch_size],
         )
 
-    # ---- statistics -----------------------------------------------------
-    def mean_trace_length(self) -> float:
-        return float(np.mean([t.trace_length for t in self.traces]))
-
-    def mean_iterations(self) -> float:
-        return float(np.mean([t.num_iterations for t in self.traces]))
-
     # ---- persistence ------------------------------------------------------
     def save(self, path: str | Path) -> None:
-        """Flatten the ragged trace structure into one ``.npz``."""
-        iter_offsets = [0]
-        computed_offsets = [0]
-        entries: list[int] = []
-        computed: list[int] = []
-        for trace in self.traces:
-            for record in trace.iterations:
-                entries.append(record.entry)
-                computed.extend(record.computed)
-                computed_offsets.append(len(computed))
-            iter_offsets.append(len(entries))
+        """Write every trace's arrays back to back into one ``.npz``.
+
+        ``entries`` and ``computed`` are the traces' arrays
+        concatenated; ``iter_offsets[q]`` is trace ``q``'s first
+        iteration and ``computed_offsets[i]`` iteration ``i``'s first
+        computed ID, both counted over the whole set.
+        """
+        iter_offsets = np.zeros(len(self.traces) + 1, dtype=np.int64)
+        np.cumsum([t.num_iterations for t in self.traces], out=iter_offsets[1:])
+        if self.traces:
+            lengths, computed = computed_segments(self.traces)
+            entries = np.concatenate([t.entries for t in self.traces])
+        else:
+            lengths = computed = entries = np.empty(0, dtype=np.int64)
+        computed_offsets = np.zeros(lengths.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=computed_offsets[1:])
         np.savez_compressed(
             Path(path),
-            entries=np.asarray(entries, dtype=np.int64),
-            iter_offsets=np.asarray(iter_offsets, dtype=np.int64),
-            computed=np.asarray(computed, dtype=np.int64),
-            computed_offsets=np.asarray(computed_offsets, dtype=np.int64),
+            entries=entries,
+            iter_offsets=iter_offsets,
+            computed=computed,
+            computed_offsets=computed_offsets,
             result_ids=self.result_ids,
             result_dists=self.result_dists,
         )
 
     @classmethod
     def load(cls, path: str | Path) -> "TraceSet":
+        """Read a :meth:`save` file; each trace's arrays are slices of
+        the loaded ones."""
         with np.load(Path(path)) as data:
             entries = data["entries"]
-            iter_offsets = data["iter_offsets"]
+            iter_offsets = data["iter_offsets"].tolist()
             computed = data["computed"]
             computed_offsets = data["computed_offsets"]
             result_ids = data["result_ids"]
             result_dists = data["result_dists"]
         traces: list[SearchTrace] = []
-        iter_idx = 0
-        for q in range(iter_offsets.size - 1):
-            trace = SearchTrace(query_id=q)
-            for _ in range(int(iter_offsets[q + 1] - iter_offsets[q])):
-                lo = int(computed_offsets[iter_idx])
-                hi = int(computed_offsets[iter_idx + 1])
-                trace.iterations.append(
-                    IterationRecord(
-                        entry=int(entries[iter_idx]),
-                        computed=tuple(int(v) for v in computed[lo:hi]),
-                    )
+        for q, (a, b) in enumerate(zip(iter_offsets, iter_offsets[1:])):
+            lo = computed_offsets[a]
+            offsets = computed_offsets[a : b + 1] - lo
+            traces.append(
+                SearchTrace(
+                    query_id=q,
+                    entries=entries[a:b],
+                    offsets=offsets,
+                    computed=computed[lo : lo + offsets[-1]],
                 )
-                iter_idx += 1
-            trace.result_ids = result_ids[q]
-            trace.result_distances = result_dists[q]
-            traces.append(trace)
+            )
         return cls(traces=traces, result_ids=result_ids, result_dists=result_dists)
 
     @classmethod

@@ -14,7 +14,7 @@ from repro.analysis import (
 )
 from repro.analysis.locality import batch_page_accesses
 from repro.analysis.roofline import operational_intensity
-from repro.ann.trace import IterationRecord, SearchTrace
+from repro.ann.trace import TraceRecorder
 from repro.core.config import NDSearchConfig
 from repro.core.placement import map_vertices
 from repro.sim.stats import SimResult
@@ -26,11 +26,10 @@ def placement(tiny_geometry):
 
 
 def _trace(vertex_lists):
-    t = SearchTrace(query_id=0)
+    rec = TraceRecorder(query_id=0)
     for vs in vertex_lists:
-        t.iterations.append(IterationRecord(entry=vs[0] if vs else 0,
-                                            computed=tuple(vs)))
-    return t
+        rec.record_iteration(vs[0] if vs else 0, vs)
+    return rec.finish()
 
 
 class TestLocalityMetrics:

@@ -1,9 +1,11 @@
 """Tests for the baseline platform models (CPU, GPU, SmartSSD, DS-c/cp)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.ann.trace import IterationRecord, SearchTrace
+from repro.ann.trace import TraceRecorder
 from repro.baselines import CPUModel, DeepStoreModel, GPUModel, SmartSSDModel
 from repro.baselines.common import DatasetProfile, WorkloadStats, cache_hit_count
 from repro.core.config import HostConfig
@@ -15,16 +17,11 @@ def _traces(n_queries=8, iterations=6, per_iter=5, n_vertices=600, seed=0):
     rng = np.random.default_rng(seed)
     out = []
     for q in range(n_queries):
-        t = SearchTrace(query_id=q)
+        rec = TraceRecorder(query_id=q)
         for _ in range(iterations):
-            computed = tuple(
-                int(v) for v in rng.choice(n_vertices, per_iter, replace=False)
-            )
-            t.iterations.append(
-                IterationRecord(entry=int(rng.integers(n_vertices)),
-                                computed=computed)
-            )
-        out.append(t)
+            computed = rng.choice(n_vertices, per_iter, replace=False)
+            rec.record_iteration(int(rng.integers(n_vertices)), computed)
+        out.append(rec.finish())
     return out
 
 
@@ -182,12 +179,8 @@ class TestDeepStore:
         )
 
     def test_dynamic_alloc_helps_ds_cp(self, tiny_config, placement):
-        traces = []
         base = _traces(1, 5, 6, seed=9)[0]
-        for q in range(16):
-            t = SearchTrace(query_id=q)
-            t.iterations = list(base.iterations)
-            traces.append(t)
+        traces = [dataclasses.replace(base, query_id=q) for q in range(16)]
         on = DeepStoreModel(
             config=tiny_config, placement=placement, dynamic_alloc=True
         ).run_batch(traces, _profile())

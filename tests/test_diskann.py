@@ -56,7 +56,7 @@ class TestSearch:
         rec = TraceRecorder(0)
         index.search(small_queries[0], k=5, ef=32, recorder=rec)
         trace = rec.finish()
-        assert trace.iterations[0].entry == index.medoid
+        assert trace.entries[0] == index.medoid
 
     def test_ef_validation(self, index, small_queries):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ann import HNSWIndex, HNSWParams
-from repro.ann.trace import IterationRecord, SearchTrace
+from repro.ann.trace import TraceRecorder
 from repro.core import NDSearch, NDSearchConfig, SchedulingFlags
 from repro.core.placement import map_vertices
 from repro.core.searssd import SearSSDModel
@@ -34,10 +34,10 @@ class TestDegenerateInputs:
     def test_trace_with_empty_iterations_simulates(self, tiny_config):
         placement = map_vertices(100, tiny_config.geometry, 64)
         model = SearSSDModel(config=tiny_config, placement=placement, dim=16)
-        trace = SearchTrace(query_id=0)
-        trace.iterations.append(IterationRecord(entry=0, computed=()))
-        trace.iterations.append(IterationRecord(entry=1, computed=(2, 3)))
-        result = model.run_batch([trace])
+        rec = TraceRecorder(query_id=0)
+        rec.record_iteration(0, [])
+        rec.record_iteration(1, [2, 3])
+        result = model.run_batch([rec.finish()])
         assert result.sim_time_s > 0
 
     def test_batch_of_one(self, small_hnsw, tiny_config, small_queries):
@@ -56,9 +56,9 @@ class TestFailureInjection:
             dim=16,
             ldpc=LDPCModel(hard_failure_prob=1.0),
         )
-        trace = SearchTrace(query_id=0)
-        trace.iterations.append(IterationRecord(entry=0, computed=(1, 50, 99)))
-        result = model.run_batch([trace])
+        rec = TraceRecorder(query_id=0)
+        rec.record_iteration(0, [1, 50, 99])
+        result = model.run_batch([rec.finish()])
         assert result.counters["ecc_soft_decodes"] == result.counters[
             "ecc_hard_decodes"
         ]

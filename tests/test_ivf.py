@@ -116,8 +116,8 @@ class TestIVFSearch:
         trace = rec.finish()
         assert trace.num_iterations == 3
         # Each iteration's computed set is one full posting list.
-        for it in trace.iterations:
-            assert len(it.computed) == ivf.lists[it.entry].size
+        for r, entry in enumerate(trace.entries):
+            assert trace.computed_at(r).size == ivf.lists[entry].size
 
     def test_search_batch_interface(self, ivf, small_queries):
         ids, dists, traces = ivf.search_batch(small_queries, 5)

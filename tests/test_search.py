@@ -77,7 +77,7 @@ class TestBeamSearch:
         trace = rec.finish()
         assert trace.num_iterations >= 1
         # Every computed vertex appears exactly once across iterations.
-        visited = trace.visited_vertices
+        visited = trace.computed.tolist()
         assert len(visited) == len(set(visited))
 
     def test_neighbor_filter_applied(self):
@@ -132,6 +132,20 @@ class TestBeamSearch:
             metric=DistanceMetric.EUCLIDEAN,
         )
         assert len(results) >= 3
+
+    def test_seed_iteration_keeps_caller_order(self):
+        # Seeds are deduplicated in caller order: the seed iteration's
+        # entry and computed order must not follow set hash order.
+        vectors, neighbors = _line_world(n=1001)
+        rec = TraceRecorder(0)
+        greedy_beam_search(
+            vectors, neighbors, vectors[500], [5, 1000, 3, 1000],
+            ef=4, metric=DistanceMetric.EUCLIDEAN, recorder=rec,
+            max_iterations=0,
+        )
+        trace = rec.finish()
+        assert trace.entries.tolist() == [5]
+        assert trace.computed.tolist() == [5, 1000, 3]
 
 
 class TestTopK:

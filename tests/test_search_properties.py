@@ -70,7 +70,7 @@ def test_trace_covers_results(cloud):
         DistanceMetric.EUCLIDEAN, recorder=recorder,
     )
     trace = recorder.finish()
-    visited = set(trace.visited_vertices)
+    visited = set(trace.computed.tolist())
     assert all(v in visited for _, v in results)
 
 

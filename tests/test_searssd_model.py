@@ -1,9 +1,11 @@
 """Tests for the trace-driven SearSSD timing model."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.ann.trace import IterationRecord, SearchTrace
+from repro.ann.trace import TraceRecorder
 from repro.core.config import SchedulingFlags
 from repro.core.placement import map_vertices
 from repro.core.searssd import SearSSDModel
@@ -14,15 +16,12 @@ def _make_traces(n_queries, iterations, vertices_per_iter, n_vertices, seed=0):
     rng = np.random.default_rng(seed)
     traces = []
     for q in range(n_queries):
-        t = SearchTrace(query_id=q)
+        rec = TraceRecorder(query_id=q)
         for _ in range(iterations):
             entry = int(rng.integers(n_vertices))
-            computed = tuple(
-                int(v) for v in rng.choice(n_vertices, vertices_per_iter,
-                                           replace=False)
-            )
-            t.iterations.append(IterationRecord(entry=entry, computed=computed))
-        traces.append(t)
+            computed = rng.choice(n_vertices, vertices_per_iter, replace=False)
+            rec.record_iteration(entry, computed)
+        traces.append(rec.finish())
     return traces
 
 
@@ -62,11 +61,7 @@ class TestSchedulingEffects:
         placement = map_vertices(600, tiny_config.geometry, 64)
         # Queries share targets heavily: same trace for everyone.
         base = _make_traces(1, 6, 8, 600, seed=2)[0]
-        traces = []
-        for q in range(16):
-            t = SearchTrace(query_id=q)
-            t.iterations = list(base.iterations)
-            traces.append(t)
+        traces = [dataclasses.replace(base, query_id=q) for q in range(16)]
         on = SearSSDModel(
             config=tiny_config.with_flags(
                 SchedulingFlags(True, True, True, False)
@@ -88,8 +83,9 @@ class TestSchedulingEffects:
         placement = map_vertices(600, tiny_config.geometry, 64, scheme="multiplane")
         vpp = placement.vectors_per_page
         # Accesses deliberately span sibling planes at equal pages.
-        t = SearchTrace(query_id=0)
-        t.iterations.append(IterationRecord(entry=0, computed=(0, vpp)))
+        rec = TraceRecorder(query_id=0)
+        rec.record_iteration(0, [0, vpp])
+        t = rec.finish()
         model = SearSSDModel(config=tiny_config, placement=placement, dim=16)
         result = model.run_batch([t])
         assert result.counters["multiplane_reads"] == 1
@@ -142,7 +138,7 @@ class TestECCInjection:
 
 class TestCompiledTraceCache:
     def _spec(self, trace):
-        return [np.arange(3, dtype=np.int64) for _ in trace.iterations]
+        return [np.arange(3, dtype=np.int64) for _ in range(trace.num_iterations)]
 
     def test_overwrite_keeps_unrelated_entries(self, model, monkeypatch):
         from repro.core import searssd

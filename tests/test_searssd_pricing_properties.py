@@ -21,7 +21,7 @@ import dataclasses
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.ann.trace import IterationRecord, SearchTrace
+from repro.ann.trace import TraceRecorder
 from repro.core.config import HostConfig, NDSearchConfig, SchedulingFlags
 from repro.core.placement import map_vertices
 from repro.core.searssd import SearSSDModel
@@ -410,17 +410,17 @@ def test_every_flag_combination_on_a_split_batch(p, seed):
     n = 64
     traces, specs = [], []
     for q in range(20):
-        trace = SearchTrace(query_id=q)
+        rec = TraceRecorder(query_id=q)
         for _ in range(int(rng.integers(0, 7))):
             size = int(rng.integers(0, 10))
-            trace.iterations.append(
-                IterationRecord(
-                    entry=0, computed=tuple(rng.integers(0, n, size).tolist())
-                )
-            )
+            rec.record_iteration(0, rng.integers(0, n, size))
+        trace = rec.finish()
         traces.append(trace)
         specs.append(
-            [rng.integers(0, n, int(rng.integers(0, 6))) for _ in trace.iterations]
+            [
+                rng.integers(0, n, int(rng.integers(0, 6)))
+                for _ in range(trace.num_iterations)
+            ]
         )
     cached = np.arange(0, n, 5, dtype=np.int64)
     for bits in range(16):
@@ -432,7 +432,7 @@ def test_every_flag_combination_on_a_split_batch(p, seed):
 
 
 def test_batch_of_zero_round_traces():
-    traces = [SearchTrace(query_id=q) for q in range(3)]
+    traces = [TraceRecorder(query_id=q).finish() for q in range(3)]
     got = price_both(8, SchedulingFlags.all_enabled(), 0.3, traces, [[], [], []])
     assert "dram_accesses" not in got.counters
     assert [s.stage for s in got.timeline] == ["host_in", "sort", "host_out"]

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ann.graph import ProximityGraph
-from repro.ann.trace import IterationRecord, SearchTrace
+from repro.ann.trace import SearchTrace, TraceRecorder
 from repro.core.config import HostConfig, NDSearchConfig, SchedulingFlags
 from repro.core.placement import map_vertices
 from repro.core.searssd import (
@@ -80,7 +80,7 @@ def oracle_rounds(model: SearSSDModel, trace: SearchTrace, spec) -> tuple:
     n_iter = trace.num_iterations
     rounds = []
     for r in range(n_iter):
-        computed = np.asarray(trace.iterations[r].computed, dtype=np.int64)
+        computed = trace.computed_at(r)
         had_computed = computed.size > 0
         hits = 0
         n_cached = 0
@@ -177,6 +177,13 @@ def assert_rounds_equal(model: SearSSDModel, comp, want: tuple) -> None:
     ]
 
 
+def _record(iterations) -> SearchTrace:
+    rec = TraceRecorder(query_id=0)
+    for entry, computed in iterations:
+        rec.record_iteration(entry, computed)
+    return rec.finish()
+
+
 # ---- strategies --------------------------------------------------------------------
 FLAGS = st.builds(
     SchedulingFlags, st.booleans(), st.booleans(), st.booleans(), st.booleans()
@@ -190,12 +197,11 @@ def batches(draw):
     vertex = st.integers(min_value=0, max_value=n - 1)
     traces, specs = [], []
     for q in range(draw(st.integers(min_value=0, max_value=2 * TRACE_CHUNK + 3))):
-        trace = SearchTrace(query_id=q)
+        rec = TraceRecorder(query_id=q)
         for _ in range(draw(st.integers(min_value=0, max_value=6))):
             computed = draw(st.lists(vertex, max_size=9))
-            trace.iterations.append(
-                IterationRecord(entry=draw(vertex), computed=tuple(computed))
-            )
+            rec.record_iteration(draw(vertex), computed)
+        trace = rec.finish()
         traces.append(trace)
         n_iter = trace.num_iterations
         if draw(st.booleans()):
@@ -260,9 +266,7 @@ def test_repeated_traces_in_a_batch_match_the_oracle(batch, data):
 
 def test_spec_edges_at_first_and_last_round():
     """No hit is possible in round 0 and no prefetch in the last round."""
-    trace = SearchTrace(query_id=0)
-    for computed in ((1, 2, 3), (4, 5, 6), (7, 8, 9)):
-        trace.iterations.append(IterationRecord(entry=0, computed=computed))
+    trace = _record([(0, [1, 2, 3]), (0, [4, 5, 6]), (0, [7, 8, 9])])
     everything = np.arange(12, dtype=np.int64)
     spec = [everything] * 4  # longer than the trace
     model = _model(12, SchedulingFlags.all_enabled())
@@ -285,14 +289,10 @@ def graphs_and_traces(draw):
     )
     traces = []
     for q in range(draw(st.integers(min_value=0, max_value=TRACE_CHUNK + 5))):
-        trace = SearchTrace(query_id=q)
+        rec = TraceRecorder(query_id=q)
         for _ in range(draw(st.integers(min_value=0, max_value=5))):
-            trace.iterations.append(
-                IterationRecord(
-                    entry=0, computed=tuple(draw(st.lists(vertex, max_size=8)))
-                )
-            )
-        traces.append(trace)
+            rec.record_iteration(0, draw(st.lists(vertex, max_size=8)))
+        traces.append(rec.finish())
     return graph, traces
 
 
@@ -304,8 +304,8 @@ def test_speculative_sets_match_per_iteration_selection(case, width):
     assert len(sets) == len(traces)
     for per_iter, trace in zip(sets, traces):
         assert len(per_iter) == trace.num_iterations
-        for got, record in zip(per_iter, trace.iterations):
-            first = np.asarray(record.computed, dtype=np.int64)
+        for r, got in enumerate(per_iter):
+            first = trace.computed_at(r)
             want = (
                 select_speculative_candidates(graph, first, width)
                 if first.size
@@ -317,11 +317,7 @@ def test_speculative_sets_match_per_iteration_selection(case, width):
 
 def test_speculative_sets_do_not_pin_cut_candidates(small_graph):
     """Each cached set views an array holding only the kept candidates."""
-    trace = SearchTrace(query_id=0)
-    for v in range(0, 40, 4):
-        trace.iterations.append(
-            IterationRecord(entry=v, computed=(v, v + 1, v + 2, v + 3))
-        )
+    trace = _record([(v, [v, v + 1, v + 2, v + 3]) for v in range(0, 40, 4)])
     (sets,) = precompute_speculative_sets([trace], small_graph, 2)
     owner = sets[0].base
     assert owner is not None
@@ -330,18 +326,13 @@ def test_speculative_sets_do_not_pin_cut_candidates(small_graph):
 
 @pytest.mark.parametrize("width", [0, -1])
 def test_non_positive_width_selects_nothing(small_graph, width):
-    trace = SearchTrace(query_id=0)
-    trace.iterations.append(IterationRecord(entry=0, computed=(1, 2, 3)))
-    trace.iterations.append(IterationRecord(entry=1, computed=()))
+    trace = _record([(0, [1, 2, 3]), (1, [])])
     (sets,) = precompute_speculative_sets([trace], small_graph, width)
     assert [s.size for s in sets] == [0, 0]
     assert all(s.dtype == np.int64 for s in sets)
 
 
 def test_out_of_range_vertex_fails_loudly(small_graph):
-    trace = SearchTrace(query_id=0)
-    trace.iterations.append(
-        IterationRecord(entry=0, computed=(small_graph.num_vertices,))
-    )
+    trace = _record([(0, [small_graph.num_vertices])])
     with pytest.raises(IndexError):
         precompute_speculative_sets([trace], small_graph, 4)

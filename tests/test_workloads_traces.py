@@ -1,28 +1,41 @@
 """Tests for TraceSet persistence and slicing."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.ann.trace import IterationRecord, SearchTrace
+from repro.ann.trace import TraceRecorder
 from repro.workloads import TraceSet
+
+#: Written by ``TraceSet.save`` before traces became flat arrays; the
+#: on-disk layout (key names, int64 dtypes) must keep loading.
+LEGACY_FIXTURE = Path(__file__).parent / "data" / "legacy.traces.npz"
+LEGACY_ITERATIONS = [
+    [(5, [5, 1000, 3]), (3, [7, 8]), (7, []), (8, [2])],
+    [],
+    [(0, []), (9, [11, 12, 13])],
+    [(4, [4])],
+]
+
+
+def _iterations(trace):
+    return [
+        (int(trace.entries[r]), trace.computed_at(r).tolist())
+        for r in range(trace.num_iterations)
+    ]
 
 
 def _trace_set(n=6, seed=0):
     rng = np.random.default_rng(seed)
     traces = []
     for q in range(n):
-        t = SearchTrace(query_id=q)
+        rec = TraceRecorder(query_id=q)
         for _ in range(int(rng.integers(1, 5))):
-            computed = tuple(int(v) for v in rng.integers(0, 100, size=3))
-            t.iterations.append(
-                IterationRecord(entry=int(rng.integers(100)), computed=computed)
-            )
-        traces.append(t)
+            rec.record_iteration(int(rng.integers(100)), rng.integers(0, 100, size=3))
+        traces.append(rec.finish())
     ids = rng.integers(0, 100, size=(n, 4)).astype(np.int64)
     dists = rng.random(size=(n, 4))
-    for t, i, d in zip(traces, ids, dists):
-        t.result_ids = i
-        t.result_distances = d
     return TraceSet(traces=traces, result_ids=ids, result_dists=dists)
 
 
@@ -35,23 +48,60 @@ class TestRoundTrip:
         assert len(loaded) == len(ts)
         for a, b in zip(ts.traces, loaded.traces):
             assert a.num_iterations == b.num_iterations
-            for ia, ib in zip(a.iterations, b.iterations):
-                assert ia == ib
+            assert _iterations(a) == _iterations(b)
         assert np.array_equal(loaded.result_ids, ts.result_ids)
         assert np.allclose(loaded.result_dists, ts.result_dists)
 
     def test_empty_iterations_preserved(self, tmp_path):
-        t = SearchTrace(query_id=0)
-        t.iterations.append(IterationRecord(entry=3, computed=()))
+        rec = TraceRecorder(query_id=0)
+        rec.record_iteration(3, [])
         ts = TraceSet(
-            traces=[t],
+            traces=[rec.finish()],
             result_ids=np.zeros((1, 2), dtype=np.int64),
             result_dists=np.zeros((1, 2)),
         )
         path = tmp_path / "t.npz"
         ts.save(path)
         loaded = TraceSet.load(path)
-        assert loaded.traces[0].iterations[0].computed == ()
+        assert _iterations(loaded.traces[0]) == [(3, [])]
+
+    def test_empty_set_round_trips(self, tmp_path):
+        ts = TraceSet(
+            traces=[],
+            result_ids=np.zeros((0, 2), dtype=np.int64),
+            result_dists=np.zeros((0, 2)),
+        )
+        path = tmp_path / "t.npz"
+        ts.save(path)
+        assert len(TraceSet.load(path)) == 0
+
+
+class TestLegacyFile:
+    def test_keys_and_dtypes(self):
+        with np.load(LEGACY_FIXTURE) as data:
+            assert sorted(data.files) == [
+                "computed", "computed_offsets", "entries",
+                "iter_offsets", "result_dists", "result_ids",
+            ]
+            for key in ("entries", "iter_offsets", "computed", "computed_offsets"):
+                assert data[key].dtype == np.int64
+
+    def test_loads_into_list_oracle(self):
+        loaded = TraceSet.load(LEGACY_FIXTURE)
+        assert [t.query_id for t in loaded.traces] == [0, 1, 2, 3]
+        assert [_iterations(t) for t in loaded.traces] == LEGACY_ITERATIONS
+        assert [t.trace_length for t in loaded.traces] == [6, 0, 3, 1]
+        assert loaded.result_ids.tolist() == [[5, 3], [-1, -1], [11, 12], [4, -1]]
+        assert loaded.result_dists[0].tolist() == [0.5, 1.25]
+
+    def test_resave_is_identical(self, tmp_path):
+        path = tmp_path / "again.traces.npz"
+        TraceSet.load(LEGACY_FIXTURE).save(path)
+        with np.load(LEGACY_FIXTURE) as old, np.load(path) as new:
+            assert sorted(old.files) == sorted(new.files)
+            for key in old.files:
+                assert old[key].dtype == new[key].dtype
+                np.testing.assert_array_equal(old[key], new[key])
 
 
 class TestSubset:
@@ -65,13 +115,6 @@ class TestSubset:
     def test_oversized_subset_rejected(self):
         with pytest.raises(ValueError):
             _trace_set(4).subset(10)
-
-
-class TestStats:
-    def test_mean_statistics(self):
-        ts = _trace_set()
-        assert ts.mean_trace_length() > 0
-        assert ts.mean_iterations() >= 1.0
 
 
 class TestZipfianSampler:
